@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -114,10 +115,14 @@ type Balancer struct {
 	services map[string]*balancedService
 }
 
-// balancedService is one logical service's routing state. Replica
-// counters persist across refreshes so /metrics replica counters behave
-// like Prometheus counters (monotonic, surviving churn).
+// balancedService is one logical service's routing state — the handle a
+// call resolves once and then picks, acquires and observes through.
+// Replica counters persist across refreshes so /metrics replica counters
+// behave like Prometheus counters (monotonic, surviving churn).
 type balancedService struct {
+	b    *Balancer // resolver, cache TTL and outlier config
+	name string
+
 	mu         sync.Mutex
 	addrs      []string
 	fetched    time.Time
@@ -192,7 +197,7 @@ func (b *Balancer) service(name string) *balancedService {
 	defer b.mu.Unlock()
 	s := b.services[name]
 	if s == nil {
-		s = &balancedService{replicas: map[string]*replicaState{}}
+		s = &balancedService{b: b, name: name, replicas: map[string]*replicaState{}}
 		b.services[name] = s
 	}
 	return s
@@ -209,20 +214,19 @@ func (b *Balancer) service(name string) *balancedService {
 // refresh instead of stampeding the registry. A failed synchronous
 // refresh falls back to the last known list when one exists — stale
 // routing beats none while the registry itself is unreachable.
-func (b *Balancer) candidates(ctx context.Context, name string) ([]string, error) {
-	s := b.service(name)
+func (s *balancedService) candidates(ctx context.Context) ([]string, error) {
 	s.mu.Lock()
 	if !s.stale && len(s.addrs) > 0 {
 		addrs := append([]string(nil), s.addrs...)
-		if time.Since(s.fetched) >= b.ttl && !s.refreshing {
+		if time.Since(s.fetched) >= s.b.ttl && !s.refreshing {
 			s.refreshing = true
-			go b.refreshAsync(name, s)
+			go s.refreshAsync()
 		}
 		s.mu.Unlock()
 		return addrs, nil
 	}
 	defer s.mu.Unlock()
-	addrs, shards, err := b.resolve(withoutTrace(ctx), name)
+	addrs, shards, err := s.b.resolve(withoutTrace(ctx), s.name)
 	if err != nil {
 		if len(s.addrs) > 0 {
 			return append([]string(nil), s.addrs...), nil
@@ -231,7 +235,7 @@ func (b *Balancer) candidates(ctx context.Context, name string) ([]string, error
 	}
 	s.adoptLocked(addrs, shards)
 	if len(addrs) == 0 {
-		return nil, fmt.Errorf("httpkit: no live replicas of %s", name)
+		return nil, fmt.Errorf("httpkit: no live replicas of %s", s.name)
 	}
 	return append([]string(nil), addrs...), nil
 }
@@ -265,10 +269,10 @@ func (b *Balancer) resolve(ctx context.Context, name string) ([]string, map[stri
 // refreshAsync re-resolves a service off the request path. On failure
 // the stale list keeps serving and fetched is bumped anyway, so a down
 // registry is probed at most once per TTL rather than once per call.
-func (b *Balancer) refreshAsync(name string, s *balancedService) {
+func (s *balancedService) refreshAsync() {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	addrs, shards, err := b.resolve(ctx, name)
+	addrs, shards, err := s.b.resolve(ctx, s.name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.refreshing = false
@@ -304,18 +308,17 @@ func (s *balancedService) adoptLocked(addrs []string, shards map[string]int) {
 	s.ring = shardmap.New(ids, 0)
 }
 
-// Invalidate marks a service's cached replica list stale so the next call
+// invalidate marks the cached replica list stale so the next call
 // re-resolves. Called on connection failures and all-replicas-refused so a
 // dead replica stops receiving picks before the TTL lapses.
-func (b *Balancer) Invalidate(name string) {
-	s := b.service(name)
+func (s *balancedService) invalidate() {
 	s.mu.Lock()
 	s.stale = true
 	s.mu.Unlock()
 }
 
 // Drop removes one replica from a service's cached list immediately —
-// the push-side counterpart of Invalidate for planned scale-downs. A
+// the push-side counterpart of invalidate for planned scale-downs. A
 // draining replica still answers requests, so connection failures never
 // purge it from the cache; without Drop it keeps receiving its traffic
 // share until the TTL lapses, stretching every drain by a full cache
@@ -368,27 +371,21 @@ func (b *Balancer) Drop(name, addr string) {
 // cross-shard hop. Writes never widen: pick returns "" and the caller
 // surfaces the routing failure rather than landing a write on a
 // non-owner.
-func (b *Balancer) pick(name string, candidates []string, avoid map[string]bool, key string, readFallback bool) string {
+func (s *balancedService) pick(candidates []string, avoid map[string]bool, key string, readFallback bool) string {
 	if key != "" {
-		if owners, sharded := b.shardOwners(name, candidates, key); sharded {
-			if len(owners) > 0 {
-				if addr := b.pickFrom(name, owners, avoid); addr != "" {
-					return addr
-				}
-			}
-			if !readFallback {
-				return ""
+		if owners, sharded := s.shardOwners(candidates, key); sharded {
+			if addr := s.pickFrom(owners, avoid); addr != "" || !readFallback {
+				return addr
 			}
 		}
 	}
-	return b.pickFrom(name, candidates, avoid)
+	return s.pickFrom(candidates, avoid)
 }
 
 // shardOwners narrows candidates to the replicas owning key's shard.
 // sharded=false means the service publishes no shard map and the key is
 // moot.
-func (b *Balancer) shardOwners(name string, candidates []string, key string) (owners []string, sharded bool) {
-	s := b.service(name)
+func (s *balancedService) shardOwners(candidates []string, key string) (owners []string, sharded bool) {
 	s.mu.Lock()
 	ring, shards := s.ring, s.shards
 	s.mu.Unlock()
@@ -405,35 +402,29 @@ func (b *Balancer) shardOwners(name string, candidates []string, key string) (ow
 }
 
 // pickFrom is the shard-blind p2c pick over a pool.
-func (b *Balancer) pickFrom(name string, candidates []string, avoid map[string]bool) string {
+func (s *balancedService) pickFrom(candidates []string, avoid map[string]bool) string {
 	pool := candidates
-	if len(avoid) > 0 {
-		fresh := make([]string, 0, len(candidates))
-		for _, a := range candidates {
-			if !avoid[a] {
-				fresh = append(fresh, a)
-			}
-		}
-		if len(fresh) > 0 {
-			pool = fresh
-		}
+	if fresh := without(candidates, avoid); len(fresh) > 0 {
+		pool = fresh
 	}
-	pool = b.skipEjected(name, pool)
-	switch len(pool) {
-	case 0:
-		return ""
-	case 1:
+	if len(pool) < 2 {
+		if len(pool) == 0 {
+			return ""
+		}
 		return pool[0]
 	}
-	s := b.service(name)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pool = s.skipEjectedLocked(pool)
+	if len(pool) == 1 {
+		return pool[0]
+	}
 	i := rand.Intn(len(pool))
 	j := rand.Intn(len(pool) - 1)
 	if j >= i {
 		j++
 	}
-	s.mu.Lock()
 	ri, rj := s.replicas[pool[i]], s.replicas[pool[j]]
-	s.mu.Unlock()
 	if ri == nil || rj == nil {
 		// Unknown replica (resolver raced a refresh): either choice is fine.
 		return pool[i]
@@ -444,29 +435,21 @@ func (b *Balancer) pickFrom(name string, candidates []string, avoid map[string]b
 	return pool[i]
 }
 
-// skipEjected filters currently-ejected replicas out of a pick pool,
-// unless that would empty it (the sweep's floor makes that rare, but a
-// pool shrunk by avoid-filtering can consist solely of ejected replicas).
-func (b *Balancer) skipEjected(name string, pool []string) []string {
-	if len(pool) < 2 {
-		return pool
+// skipEjectedLocked filters currently-ejected replicas out of a pick pool
+// (s.mu held), unless that would empty it (the sweep's floor makes that
+// rare, but a pool shrunk by avoid-filtering can consist solely of
+// ejected replicas).
+func (s *balancedService) skipEjectedLocked(pool []string) []string {
+	ejected := func(a string) bool {
+		r := s.replicas[a]
+		return r != nil && r.ejected.Load()
 	}
-	s := b.service(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	anyEjected := false
-	for _, a := range pool {
-		if r := s.replicas[a]; r != nil && r.ejected.Load() {
-			anyEjected = true
-			break
-		}
-	}
-	if !anyEjected {
+	if !slices.ContainsFunc(pool, ejected) {
 		return pool
 	}
 	fresh := make([]string, 0, len(pool))
 	for _, a := range pool {
-		if r := s.replicas[a]; r == nil || !r.ejected.Load() {
+		if !ejected(a) {
 			fresh = append(fresh, a)
 		}
 	}
@@ -476,33 +459,41 @@ func (b *Balancer) skipEjected(name string, pool []string) []string {
 	return fresh
 }
 
-// markHedge counts a hedge attempt routed to a replica.
-func (b *Balancer) markHedge(name, addr string) {
-	s := b.service(name)
-	s.mu.Lock()
-	r := s.replicas[addr]
-	if r == nil {
-		r = &replicaState{}
-		s.replicas[addr] = r
+// without returns addrs minus the members of skip (addrs itself when skip
+// is empty).
+func without(addrs []string, skip map[string]bool) []string {
+	if len(skip) == 0 {
+		return addrs
 	}
-	s.mu.Unlock()
-	r.hedges.Add(1)
+	kept := make([]string, 0, len(addrs))
+	for _, a := range addrs {
+		if !skip[a] {
+			kept = append(kept, a)
+		}
+	}
+	return kept
 }
 
-// acquire counts a routed request against a replica and returns the
-// release that ends its in-flight accounting.
-func (b *Balancer) acquire(name, addr string) (release func()) {
-	s := b.service(name)
+// replica returns (allocating) one replica's state.
+func (s *balancedService) replica(addr string) *replicaState {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	r := s.replicas[addr]
 	if r == nil {
 		r = &replicaState{}
 		s.replicas[addr] = r
 	}
-	s.mu.Unlock()
+	return r
+}
+
+// acquire counts a routed request against a replica and returns its
+// state; the caller ends the in-flight accounting (inflight.Add(-1)) and
+// feeds the outcome to observe.
+func (s *balancedService) acquire(addr string) *replicaState {
+	r := s.replica(addr)
 	r.requests.Add(1)
 	r.inflight.Add(1)
-	return func() { r.inflight.Add(-1) }
+	return r
 }
 
 // Snapshot reports routed traffic per service per replica. Replicas that
@@ -510,17 +501,13 @@ func (b *Balancer) acquire(name, addr string) (release func()) {
 // Prometheus counter semantics.
 func (b *Balancer) Snapshot() map[string]map[string]ReplicaCounts {
 	b.mu.Lock()
-	names := make([]string, 0, len(b.services))
-	for name := range b.services {
-		names = append(names, name)
+	services := make([]*balancedService, 0, len(b.services))
+	for _, s := range b.services {
+		services = append(services, s)
 	}
 	b.mu.Unlock()
-	if len(names) == 0 {
-		return nil
-	}
-	out := make(map[string]map[string]ReplicaCounts, len(names))
-	for _, name := range names {
-		s := b.service(name)
+	out := make(map[string]map[string]ReplicaCounts, len(services))
+	for _, s := range services {
 		s.mu.Lock()
 		m := make(map[string]ReplicaCounts, len(s.replicas))
 		for addr, r := range s.replicas {
@@ -543,7 +530,7 @@ func (b *Balancer) Snapshot() map[string]map[string]ReplicaCounts {
 		}
 		s.mu.Unlock()
 		if len(m) > 0 {
-			out[name] = m
+			out[s.name] = m
 		}
 	}
 	if len(out) == 0 {

@@ -81,38 +81,37 @@ func (s *Server) activeChaos() *ChaosConfig {
 // ChaosInjected counts faults injected since process start.
 func (s *Server) ChaosInjected() int64 { return s.chaosInjected.Load() }
 
-// injectChaos is the fault-injection middleware, innermost so injected
-// latency and errors are observed by the tracing/histogram layer exactly
-// like real handler behaviour.
-func (s *Server) injectChaos(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		cfg := s.activeChaos()
-		if cfg == nil || skipObservation(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
+// injectChaos is the fault-injection stage, innermost in Server.serve so
+// injected latency and errors are observed by the tracing/histogram stage
+// exactly like real handler behaviour. It reports whether the fault
+// consumed the request (blackholed, abandoned during the delay, or
+// answered with an injected error); otherwise the handler runs.
+func (s *Server) injectChaos(w http.ResponseWriter, r *http.Request) bool {
+	cfg := s.activeChaos()
+	if cfg == nil {
+		return false
+	}
+	if cfg.BlackholeRate > 0 && rand.Float64() < cfg.BlackholeRate {
+		s.chaosInjected.Add(1)
+		<-r.Context().Done()
+		return true
+	}
+	if d := chaosDelay(*cfg); d > 0 {
+		s.chaosInjected.Add(1)
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-r.Context().Done():
+			return true
 		}
-		if cfg.BlackholeRate > 0 && rand.Float64() < cfg.BlackholeRate {
-			s.chaosInjected.Add(1)
-			<-r.Context().Done()
-			return
-		}
-		if d := chaosDelay(*cfg); d > 0 {
-			s.chaosInjected.Add(1)
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-			case <-r.Context().Done():
-				return
-			}
-		}
-		if cfg.ErrorRate > 0 && rand.Float64() < cfg.ErrorRate {
-			s.chaosInjected.Add(1)
-			WriteError(w, http.StatusInternalServerError, "chaos: injected failure")
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
+	}
+	if cfg.ErrorRate > 0 && rand.Float64() < cfg.ErrorRate {
+		s.chaosInjected.Add(1)
+		WriteError(w, http.StatusInternalServerError, "chaos: injected failure")
+		return true
+	}
+	return false
 }
 
 // chaosDelay draws the injected latency for one request.

@@ -494,3 +494,67 @@ func TestHedgeRequiresIdempotency(t *testing.T) {
 		t.Fatalf("hedges fired on POSTs: %d", c.Hedges())
 	}
 }
+
+// TestHedgeWithoutSiblingOnlyRefundsBudget: when the hedge timer fires and
+// no second replica is admissible — a single-replica service whose primary
+// attempt holds the breaker's one half-open probe slot — the hedge is not
+// launched and that is all: the call still succeeds on its primary, nothing
+// is booked as a short circuit, and the cached replica list stays valid.
+func TestHedgeWithoutSiblingOnlyRefundsBudget(t *testing.T) {
+	var slow atomic.Bool
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /ping", func(w http.ResponseWriter, r *http.Request) {
+		if slow.Load() {
+			time.Sleep(40 * time.Millisecond) // well past the hedge delay
+		}
+		WriteJSON(w, http.StatusOK, map[string]string{"ok": "true"})
+	})
+	replica := startTestServer(t, mux)
+	res := &staticResolver{addrs: []string{replica.Addr()}}
+	cfg := testBreakerConfig()
+	c := NewClient(5*time.Second,
+		WithBalancer(NewBalancer(res, BalancerConfig{CacheTTL: time.Hour})),
+		WithBreaker(cfg),
+		WithoutRetries(),
+		WithHedge(HedgePolicy{MaxFraction: 1, MinSamples: 2, MaxDelay: 5 * time.Millisecond}),
+	)
+	for i := 0; i < 4; i++ {
+		c.hedger.observeLatency("echo", time.Millisecond)
+	}
+	call := func() error { return c.GetJSON(context.Background(), BalancedURL("echo")+"/ping", nil) }
+	if err := call(); err != nil { // warms the replica cache
+		t.Fatal(err)
+	}
+
+	br := c.breakers.get(replica.Addr())
+	tripBreaker(br)
+	time.Sleep(cfg.OpenTimeout + 10*time.Millisecond)
+	refusedBefore := br.Snapshot().ShortCircuits
+
+	// The probe is answered slower than the hedge delay, so the hedge
+	// timer fires while the probe slot is taken.
+	slow.Store(true)
+	if err := call(); err != nil {
+		t.Fatalf("call whose hedge could not launch failed: %v", err)
+	}
+	slow.Store(false)
+	if got := c.Hedges(); got != 0 {
+		t.Fatalf("Hedges() = %d on a single-replica service", got)
+	}
+	if got := c.ShortCircuits(); got != 0 {
+		t.Fatalf("ShortCircuits() = %d after a successful call with no hedge launched", got)
+	}
+	if got := br.Snapshot().ShortCircuits; got != refusedBefore {
+		t.Fatalf("breaker short circuits %d → %d: the optional pick was booked as a refusal", refusedBefore, got)
+	}
+	if got := br.State(); got != BreakerClosed {
+		t.Fatalf("breaker = %v after a successful probe, want closed", got)
+	}
+	// An invalidated cache would send the next call to the resolver.
+	if err := call(); err != nil {
+		t.Fatal(err)
+	}
+	if got := res.count(); got != 1 {
+		t.Fatalf("resolver consulted %d times, want 1: the unlaunched hedge invalidated the cache", got)
+	}
+}

@@ -25,6 +25,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -55,8 +56,8 @@ func (jb *JSONBuffer) Bytes() []byte { return jb.buf.Bytes() }
 
 // Release returns the buffer to the pool. The bytes must not be used
 // afterwards. Buffers that grew past maxPooledEncodeBuf are dropped
-// instead of pooled so one huge response (orders/all on a large store)
-// doesn't pin memory forever.
+// instead of pooled so one huge response (a 1000-order page of the order
+// feed) doesn't pin memory forever.
 func (jb *JSONBuffer) Release() {
 	if jb.buf.Cap() <= maxPooledEncodeBuf {
 		jsonEncodePool.Put(jb)
@@ -130,26 +131,6 @@ func ReadJSON(r *http.Request, v any) error {
 	return nil
 }
 
-// Recover wraps a handler so panics become 500s instead of killing the
-// connection. When the handler already wrote its headers before
-// panicking, a JSON envelope would be appended to a half-sent body, so
-// the connection is aborted instead — the one honest signal left.
-func Recover(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		defer func() {
-			if p := recover(); p != nil {
-				if sw.status == 0 {
-					WriteError(sw, http.StatusInternalServerError, "internal error: %v", p)
-					return
-				}
-				panic(http.ErrAbortHandler)
-			}
-		}()
-		next.ServeHTTP(sw, r)
-	})
-}
-
 // Server hosts one service with /health and /ready probes, per-route
 // latency histograms behind /metrics and /metrics.json, a per-trace span
 // dump behind /trace/{id}, admission control (SetMaxInflight), fault
@@ -157,6 +138,7 @@ func Recover(next http.Handler) http.Handler {
 // then Start.
 type Server struct {
 	name  string
+	mux   *http.ServeMux
 	srv   *http.Server
 	lis   net.Listener
 	ready atomic.Bool
@@ -193,10 +175,10 @@ type Server struct {
 	clients  []*Client
 }
 
-// NewServer wires the mux under the standard middleware. addr may be
-// ":0" for an ephemeral port.
+// NewServer puts the mux behind the server's request pipeline (serve) and
+// adds the ops endpoints to it. addr may be ":0" for an ephemeral port.
 func NewServer(name, addr string, mux *http.ServeMux) (*Server, error) {
-	s := &Server{name: name, stats: newRouteStats(), spans: newSpanStore(), errCh: make(chan error, 1)}
+	s := &Server{name: name, mux: mux, stats: newRouteStats(), spans: newSpanStore(), errCh: make(chan error, 1)}
 	mux.HandleFunc("GET /health", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]string{"service": name, "status": "up"})
 	})
@@ -214,23 +196,83 @@ func NewServer(name, addr string, mux *http.ServeMux) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("httpkit: listen %s for %s: %w", addr, name, err)
 	}
-	// Middleware, outermost first: Recover, request counting, admission
-	// control (sheds are not observed — a 503 answered in microseconds
-	// would poison the latency histograms), tracing/histograms, fault
-	// injection (innermost, so injected faults are observed like real
-	// handler behaviour).
-	handler := s.observe(s.injectChaos(mux))
-	handler = s.admit(handler)
-	counted := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.reqs.Add(1)
-		handler.ServeHTTP(w, r)
-	})
 	s.lis = lis
 	s.srv = &http.Server{
-		Handler:           Recover(counted),
+		Handler:           http.HandlerFunc(s.serve),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	return s, nil
+}
+
+// serve is the server's request pipeline — one ordered pass, outermost
+// stage first:
+//
+//  1. recover: a panic anywhere below becomes a 500 envelope. When the
+//     handler already wrote its headers, an envelope would be appended to
+//     a half-sent body, so the connection is aborted instead — the one
+//     honest signal left.
+//  2. count: every request, ops endpoints included (Requests).
+//  3. ops bypass: observability endpoints skip the remaining stages, so
+//     an overloaded service can still be inspected, a draining one still
+//     scraped, and histograms and span stores stay about real work.
+//  4. admit: a bounded in-flight counter with fail-fast 503s (Sheds).
+//     Sheds are not observed — a 503 answered in microseconds would poison
+//     the latency histograms. The in-flight gauge is maintained even with
+//     shedding disabled — it feeds drains and the autoscaler's saturation
+//     score, not just the limit check.
+//  5. trace + observe: adopt or assign the trace identity, expose it via
+//     context for downstream Client calls, echo it on the response, and
+//     record a latency sample plus a span when the handler finishes.
+//  6. chaos: innermost, so injected faults are observed like real handler
+//     behaviour (ChaosInjected).
+func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
+	sw := &statusWriter{ResponseWriter: w}
+	span := Span{Service: s.name}
+	admitted := false
+	defer func() {
+		p := recover()
+		if admitted {
+			s.observe(r, span, sw.status, p != nil)
+			s.inflight.Add(-1)
+		}
+		if p == nil {
+			return
+		}
+		if sw.status != 0 {
+			panic(http.ErrAbortHandler)
+		}
+		WriteError(sw, http.StatusInternalServerError, "internal error: %v", p)
+	}()
+	s.reqs.Add(1)
+	if skipObservation(r.URL.Path) {
+		s.mux.ServeHTTP(sw, r)
+		return
+	}
+	limit := s.maxInflight.Load()
+	if cur := s.inflight.Add(1); limit > 0 && cur > limit {
+		s.inflight.Add(-1)
+		s.sheds.Add(1)
+		sw.Header().Set("Retry-After", shedRetryAfter)
+		WriteError(sw, http.StatusServiceUnavailable,
+			"%s overloaded: %d requests in flight", s.name, limit)
+		return
+	}
+	admitted = true
+	tc := TraceContext{ID: r.Header.Get(TraceIDHeader)}
+	if tc.ID == "" {
+		tc.ID = NewTraceID()
+	} else if d, err := strconv.Atoi(r.Header.Get(TraceDepthHeader)); err == nil && d > 0 {
+		tc.Depth = min(d, maxTraceDepth)
+	}
+	r = r.WithContext(WithTrace(r.Context(), tc))
+	sw.Header().Set(TraceIDHeader, tc.ID)
+	span.TraceID, span.Depth = tc.ID, tc.Depth
+	span.Route = normalizeRoute(r.Method, r.URL.Path)
+	span.Start = time.Now()
+	if s.injectChaos(sw, r) {
+		return
+	}
+	s.mux.ServeHTTP(sw, r)
 }
 
 // Addr returns the bound address (host:port).
@@ -289,32 +331,6 @@ func (s *Server) Inflight() int64 { return s.inflight.Load() }
 // shedRetryAfter is the backoff hint sheds carry; clients honouring it
 // spread their return instead of hammering an overloaded server.
 const shedRetryAfter = "1"
-
-// admit is the load-shedding middleware: a bounded in-flight counter with
-// fail-fast 503s. Observability endpoints bypass it so an overloaded
-// service can still be inspected and a draining one still scraped. The
-// in-flight gauge is maintained even with shedding disabled — it feeds
-// drains and the autoscaler's saturation score, not just the limit check.
-func (s *Server) admit(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if skipObservation(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
-		}
-		limit := s.maxInflight.Load()
-		cur := s.inflight.Add(1)
-		if limit > 0 && cur > limit {
-			s.inflight.Add(-1)
-			s.sheds.Add(1)
-			w.Header().Set("Retry-After", shedRetryAfter)
-			WriteError(w, http.StatusServiceUnavailable,
-				"%s overloaded: %d requests in flight", s.name, limit)
-			return
-		}
-		defer s.inflight.Add(-1)
-		next.ServeHTTP(w, r)
-	})
-}
 
 // AttachClient registers an outbound client whose retry/breaker stats are
 // reported in this server's metrics — the convention is the client a
@@ -572,44 +588,103 @@ func injectTrace(req *http.Request) {
 	}
 }
 
-// exec issues one logical call through the resilience machinery: breaker
-// admission per destination host, then up to MaxAttempts tries separated
-// by full-jittered exponential backoff that never outlives the context
-// deadline. The returned response may carry any status; the caller
-// decodes. Transport failures and retryable statuses (5xx, 429) count
-// against the destination's breaker; 4xx answers count as successes —
-// the service is alive and talking. Failures caused by the caller's own
-// context ending are not recorded at all: they carry no signal about
-// backend health.
-//
-// A svc:// URL is resolved to a concrete replica per attempt through the
-// client's Balancer, so a retry after one replica fails lands on a
-// different replica, and an open breaker on one replica fails over to the
-// rest instead of failing fast. Only when every live replica's breaker
-// refuses does the call short-circuit with ErrCircuitOpen. When hedging
-// is enabled (WithHedge), an idempotent balanced call whose first attempt
-// outlives the adaptive hedge delay fires one extra attempt at a sibling
-// replica; the first acceptable response wins and the loser is cancelled.
-func (c *Client) exec(ctx context.Context, method, url string, body []byte, contentType string) (*http.Response, error) {
+// call is one logical request on its way through the pipeline: what to
+// send, and the destination its URL resolved to.
+type call struct {
+	method, contentType string
+	body                []byte
+
+	// service is the logical name of a svc:// destination, or the host of
+	// a literal URL. svc is the balancer's state for it; nil for a literal
+	// URL, which names one fixed address — nothing to balance or eject,
+	// and no sibling a hedge could go to.
+	service string
+	svc     *balancedService
+	fixed   []string
+	// target is the literal URL as given, or the path and query appended
+	// to whichever replica of a balanced service is picked.
+	target string
+	// key is the shard routing key (WithShardKey); balanced calls only.
+	key string
+}
+
+// resolve is the pipeline's first stage: the URL becomes a destination. A
+// svc:// URL names a logical service whose replicas the client's Balancer
+// tracks; any other URL is a one-address destination that needs no
+// balancer.
+func (c *Client) resolve(ctx context.Context, method, rawURL string, body []byte, contentType string) (*call, error) {
+	cl := &call{method: method, contentType: contentType, body: body}
+	if service, rest, balanced := splitBalancedURL(rawURL); balanced {
+		if c.balancer == nil {
+			return nil, fmt.Errorf("httpkit: balanced URL %s on a client with no balancer", rawURL)
+		}
+		cl.service, cl.svc, cl.target = service, c.balancer.service(service), rest
+		cl.key, _ = ShardKeyFrom(ctx)
+		return cl, nil
+	}
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		return nil, err
+	}
+	cl.service, cl.fixed, cl.target = u.Host, []string{u.Host}, rawURL
+	return cl, nil
+}
+
+// candidates lists the addresses an attempt may go to: the balancer's
+// live replicas (cached, re-resolved per its TTL and invalidations), or
+// the literal URL's one host.
+func (cl *call) candidates(ctx context.Context) ([]string, error) {
+	if cl.svc == nil {
+		return cl.fixed, nil
+	}
+	return cl.svc.candidates(ctx)
+}
+
+// policy resolves the retry policy governing one call — the client's, or
+// the context's per-call override — and the attempts the method may take
+// under it.
+func (c *Client) policy(ctx context.Context, method string) (RetryPolicy, int) {
 	pol := c.retry
 	if override, ok := callRetryFrom(ctx); ok {
 		override.RetryNonIdempotent = override.RetryNonIdempotent || pol.RetryNonIdempotent
 		pol = override
 	}
-	attempts := 1
-	if pol.retries(method) {
-		attempts = pol.MaxAttempts
+	if pol.MaxAttempts > 1 && pol.repeatable(method) {
+		return pol, pol.MaxAttempts
 	}
+	return pol, 1
+}
 
-	if service, rest, balanced := splitBalancedURL(url); balanced {
-		if c.balancer == nil {
-			return nil, fmt.Errorf("httpkit: balanced URL %s on a client with no balancer", url)
-		}
-		return c.execBalanced(ctx, method, service, rest, body, contentType, pol, attempts)
+// exec issues one logical call through the request pipeline — resolve →
+// pick → admit (breaker) → attempt (with optional hedge) → observe — up to
+// MaxAttempts times, separated by full-jittered exponential backoff that
+// never outlives the context deadline. It is the only retry loop: a
+// literal URL and a svc:// URL differ in what they resolve to, not in how
+// they are retried. The returned response may carry any status; the caller
+// decodes. Transport failures and retryable statuses (5xx, 429) count
+// against the destination's breaker; 4xx answers count as successes — the
+// service is alive and talking. Failures caused by the caller's own
+// context ending are not recorded at all: they carry no signal about
+// backend health.
+//
+// Each attempt picks afresh, so a retry after one replica fails lands on
+// a different replica, and an open breaker on one replica fails over to
+// the rest instead of failing fast. Only when every address's breaker
+// refuses does the call short-circuit with ErrCircuitOpen. When hedging
+// is enabled (WithHedge), a repeatable balanced call whose first attempt
+// outlives the adaptive hedge delay fires one extra attempt at a sibling
+// replica; the first acceptable response wins and the loser is cancelled.
+func (c *Client) exec(ctx context.Context, method, rawURL string, body []byte, contentType string) (*http.Response, error) {
+	pol, attempts := c.policy(ctx, method)
+	cl, err := c.resolve(ctx, method, rawURL, body, contentType)
+	if err != nil {
+		return nil, err
 	}
-
-	var br *Breaker // the fixed destination's breaker, resolved once
+	// Hedge only calls that are safe to issue twice — the same bar retries
+	// use — and only where a sibling replica could exist.
+	mayHedge := c.hedger != nil && cl.svc != nil && pol.repeatable(method)
 	var lastErr error
+	var failed map[string]bool // replicas that already failed this call
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			c.retries.Add(1)
@@ -619,88 +694,18 @@ func (c *Client) exec(ctx context.Context, method, url string, body []byte, cont
 				return nil, fmt.Errorf("httpkit: retry budget exhausted after %d attempts: %w", attempt, lastErr)
 			}
 		}
-		req, err := c.newRequest(ctx, method, url, body, contentType)
-		if err != nil {
-			return nil, err
-		}
-		if c.breakers != nil {
-			if br == nil {
-				br = c.breakers.get(req.URL.Host)
-			}
-			if !br.Allow() {
-				c.shortCircuits.Add(1)
-				// An open breaker means the destination is known-bad;
-				// spending the remaining attempts would just burn the
-				// backoff budget against a closed gate.
-				return nil, fmt.Errorf("%w for %s", ErrCircuitOpen, req.URL.Host)
-			}
-		}
-		resp, err := c.http.Do(req)
-		if err != nil {
-			if ctx.Err() != nil {
-				// The caller gave up, not the destination: a cancelled
-				// request says nothing about backend health, so it must
-				// not trip the breaker (a burst of client disconnects
-				// would otherwise open breakers against healthy hosts).
-				// The half-open probe slot Allow may have reserved still
-				// has to be returned, or the breaker wedges open.
-				if br != nil {
-					br.Release()
-				}
-				return nil, err
-			}
-			if br != nil {
-				br.Record(false)
-			}
-			lastErr = err
-			continue
-		}
-		if retryableStatus(resp.StatusCode) {
-			if br != nil {
-				br.Record(false)
-			}
-			if attempt+1 < attempts {
-				lastErr = decodeError(resp)
-				resp.Body.Close()
-				continue
-			}
-			return resp, nil
-		}
-		if br != nil {
-			br.Record(true)
-		}
-		return resp, nil
-	}
-	return nil, lastErr
-}
-
-// execBalanced runs the retry loop for a svc:// call. Each attempt is an
-// arbitration over one primary launch plus at most one hedge; replicas
-// that failed earlier attempts are avoided on later picks.
-func (c *Client) execBalanced(ctx context.Context, method, service, rest string, body []byte, contentType string, pol RetryPolicy, attempts int) (*http.Response, error) {
-	// Hedge only calls that are safe to issue twice — the same
-	// idempotency bar retries use.
-	mayHedge := c.hedger != nil &&
-		(method == http.MethodGet || method == http.MethodHead || pol.RetryNonIdempotent)
-	var lastErr error
-	var failed map[string]bool // replicas that already failed this call
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			c.retries.Add(1)
-			if !backoff(ctx, pol, attempt) {
-				return nil, fmt.Errorf("httpkit: retry budget exhausted after %d attempts: %w", attempt, lastErr)
-			}
-		}
-		res := c.balancedAttempt(ctx, method, service, rest, body, contentType, failed, mayHedge && attempt == 0)
+		res := c.attempt(ctx, cl, failed, mayHedge && attempt == 0)
 		for _, a := range res.failedAddrs {
 			failed = markFailed(failed, a)
 		}
 		if res.err != nil {
 			if res.fatal || errors.Is(res.err, ErrCircuitOpen) || ctx.Err() != nil {
 				// Building the request cannot succeed on retry; an open
-				// breaker on every replica means the service is
-				// known-bad; a dead caller context ends the call. None
-				// of these earn another attempt.
+				// breaker on every replica means the destination is
+				// known-bad, and spending the remaining attempts would
+				// just burn the backoff budget against a closed gate; a
+				// dead caller context ends the call. None of these earn
+				// another attempt.
 				return nil, res.err
 			}
 			lastErr = res.err
@@ -716,8 +721,8 @@ func (c *Client) execBalanced(ctx context.Context, method, service, rest string,
 	return nil, lastErr
 }
 
-// attemptResult is the decisive outcome of one logical balanced attempt
-// (primary launch plus optional hedge).
+// attemptResult is the decisive outcome of one logical attempt (primary
+// launch plus optional hedge).
 type attemptResult struct {
 	resp        *http.Response // any HTTP answer, including retryable statuses
 	err         error
@@ -727,14 +732,15 @@ type attemptResult struct {
 
 // attemptState identifies one in-flight physical attempt.
 type attemptState struct {
-	addr   string
-	br     *Breaker
-	cancel context.CancelFunc
+	addr    string
+	br      *Breaker      // nil with breakers disabled
+	replica *replicaState // nil for a literal URL
+	cancel  context.CancelFunc
 }
 
 // attemptOutcome is what a physical attempt's goroutine reports back.
-// All breaker/balancer bookkeeping for the attempt has already happened
-// by the time it is sent, so arbitration only selects and cleans up.
+// The observe stage has already run for the attempt by the time it is
+// sent, so arbitration only selects and cleans up.
 type attemptOutcome struct {
 	st   *attemptState
 	resp *http.Response
@@ -749,22 +755,40 @@ const (
 	outcomeCancelled        // context ended first (caller or arbitration)
 )
 
-// balancedAttempt launches the primary attempt, optionally arms a hedge
-// timer, and arbitrates: the first acceptable response wins, the loser
-// is cancelled and drained in the background.
-func (c *Client) balancedAttempt(ctx context.Context, method, service, rest string, body []byte, contentType string, failed map[string]bool, mayHedge bool) attemptResult {
-	primaryAddr, br, err := c.pickReplica(ctx, service, failed, readMethod(method))
+// attempt runs one logical attempt: it lists the candidates, picks and
+// admits the primary, launches it, optionally arms a hedge timer, and
+// arbitrates — the first acceptable response wins, the loser is cancelled
+// and drained in the background.
+//
+// When no address is admissible the cache is invalidated (the list is
+// evidently rotten) and ErrCircuitOpen surfaces as one client-level short
+// circuit. A write whose owner shard has no pickable replica fails as a
+// retryable routing error instead — the failure invalidates the cache, so
+// the retry re-resolves and sees the post-churn shard map.
+func (c *Client) attempt(ctx context.Context, cl *call, failed map[string]bool, mayHedge bool) attemptResult {
+	addrs, err := cl.candidates(ctx)
 	if err != nil {
-		return attemptResult{err: err}
+		return attemptResult{err: fmt.Errorf("httpkit: resolving %s: %w", cl.service, err)}
+	}
+	primaryAddr, br := c.admit(cl, addrs, failed, nil)
+	if primaryAddr == "" {
+		c.shortCircuits.Add(1)
+		if cl.svc != nil {
+			cl.svc.invalidate()
+		}
+		if cl.key != "" && !readMethod(cl.method) {
+			return attemptResult{err: fmt.Errorf("httpkit: no admissible replica owns the shard for key %q of %s (%d live replicas)", cl.key, cl.service, len(addrs))}
+		}
+		return attemptResult{err: fmt.Errorf("%w for %s: none of its %d addresses admits the call", ErrCircuitOpen, cl.service, len(addrs))}
 	}
 	ch := make(chan attemptOutcome, 2)
-	pst, err := c.launchAttempt(ctx, method, service, primaryAddr, br, rest, body, contentType, ch)
+	pst, err := c.launch(ctx, cl, primaryAddr, br, ch)
 	if err != nil {
 		return attemptResult{err: err, fatal: true}
 	}
 	var timerC <-chan time.Time
 	if mayHedge {
-		if d, ok := c.hedger.armDelay(service); ok {
+		if d, ok := c.hedger.armDelay(cl.service); ok {
 			t := time.NewTimer(d)
 			defer t.Stop()
 			timerC = t.C
@@ -815,7 +839,7 @@ func (c *Client) balancedAttempt(ctx context.Context, method, service, rest stri
 			}
 		case <-timerC:
 			timerC = nil
-			if h := c.tryHedge(ctx, method, service, rest, body, contentType, failed, primaryAddr, ch); h != nil {
+			if h := c.hedge(ctx, cl, addrs, primaryAddr, ch); h != nil {
 				hst = h
 				outstanding++
 			}
@@ -823,13 +847,43 @@ func (c *Client) balancedAttempt(ctx context.Context, method, service, rest stri
 	}
 }
 
-// launchAttempt fires one physical attempt in a goroutine that owns all
-// of its bookkeeping: replica in-flight accounting, breaker feedback,
-// outlier observation, and cache invalidation. The caller's pickReplica
-// has already reserved the breaker admission (br may be nil).
-func (c *Client) launchAttempt(ctx context.Context, method, service, addr string, br *Breaker, rest string, body []byte, contentType string, ch chan<- attemptOutcome) (*attemptState, error) {
+// admit runs the pick and admit stages: pick an address — power-of-two-
+// choices over in-flight counts for a balanced service, steering away
+// from avoid; the one host of a literal URL — and ask its breaker. A
+// refusing address joins skip, which is never picked from, and the pick
+// repeats, so an open breaker on one replica fails over to the rest. It
+// returns "" when no address is admissible, and has no other effect: what
+// an empty pick means is the caller's to decide.
+//
+// The call's shard key narrows a balanced pick to the owner shard's
+// replicas; a read (GET/HEAD) widens back to siblings when no owner
+// replica is admissible, a write stays pinned to the owner.
+func (c *Client) admit(cl *call, addrs []string, avoid, skip map[string]bool) (string, *Breaker) {
+	for {
+		pool := without(addrs, skip)
+		var addr string
+		if cl.svc != nil {
+			addr = cl.svc.pick(pool, avoid, cl.key, readMethod(cl.method))
+		} else if len(pool) > 0 {
+			addr = pool[0]
+		}
+		if addr == "" || c.breakers == nil {
+			return addr, nil
+		}
+		br := c.breakers.get(addr)
+		if br.Allow() {
+			return addr, br
+		}
+		skip = markFailed(skip, addr)
+	}
+}
+
+// launch fires one physical attempt in a goroutine and reports its
+// outcome on ch once the observe stage has run. admit has already
+// reserved the breaker admission (br may be nil).
+func (c *Client) launch(ctx context.Context, cl *call, addr string, br *Breaker, ch chan<- attemptOutcome) (*attemptState, error) {
 	actx, cancel := context.WithCancel(ctx)
-	req, err := c.newRequest(actx, method, "http://"+addr+rest, body, contentType)
+	req, err := cl.newRequest(actx, addr)
 	if err != nil {
 		cancel()
 		if br != nil {
@@ -838,89 +892,94 @@ func (c *Client) launchAttempt(ctx context.Context, method, service, addr string
 		return nil, err
 	}
 	st := &attemptState{addr: addr, br: br, cancel: cancel}
-	release := c.balancer.acquire(service, addr)
+	if cl.svc != nil {
+		st.replica = cl.svc.acquire(addr)
+	}
 	go func() {
 		start := time.Now()
 		resp, derr := c.http.Do(req)
-		release()
-		elapsed := time.Since(start)
 		out := attemptOutcome{st: st, resp: resp, err: derr}
 		switch {
 		case derr != nil && (ctx.Err() != nil || actx.Err() != nil):
 			// Cancelled — by the caller or by losing the hedge race.
-			// Says nothing decisive about replica health, so the
-			// breaker slot is released, not recorded; the
-			// elapsed-at-cancel still feeds the outlier EWMA as a
-			// censored latency sample (a replica that is routinely
-			// slower than the hedge delay keeps looking slow).
 			out.kind = outcomeCancelled
-			if br != nil {
-				br.Release()
-			}
-			c.balancer.Observe(service, addr, elapsed, false)
 		case derr != nil:
 			out.kind = outcomeTransport
-			if br != nil {
-				br.Record(false)
-			}
-			c.balancer.Observe(service, addr, elapsed, true)
-			// A dead connection often means the replica is gone;
-			// re-resolve before the cache TTL lapses.
-			c.balancer.Invalidate(service)
 		case retryableStatus(resp.StatusCode):
 			out.kind = outcomeBadStatus
-			if br != nil {
-				br.Record(false)
-			}
-			c.balancer.Observe(service, addr, elapsed, true)
 		default:
 			out.kind = outcomeOK
-			if br != nil {
-				br.Record(true)
-			}
-			c.balancer.Observe(service, addr, elapsed, false)
-			if c.hedger != nil {
-				c.hedger.observeLatency(service, elapsed)
-			}
 		}
+		c.observe(cl, st, out.kind, time.Since(start))
 		ch <- out
 	}()
 	return st, nil
 }
 
-// tryHedge spends hedge budget and fires the second attempt at a
-// replica other than the primary. Returns nil (budget refunded) when
-// the budget is exhausted or no distinct replica is available.
-func (c *Client) tryHedge(ctx context.Context, method, service, rest string, body []byte, contentType string, failed map[string]bool, primaryAddr string, ch chan<- attemptOutcome) *attemptState {
+// observe is the pipeline's last stage: one physical attempt's outcome
+// feeds the breaker, the replica's in-flight gauge and outlier EWMAs, the
+// hedge-delay reservoir and — on a dead connection — the balancer's cache.
+func (c *Client) observe(cl *call, st *attemptState, kind int, elapsed time.Duration) {
+	if st.br != nil {
+		if kind == outcomeCancelled {
+			// A cancelled request says nothing about backend health, so
+			// it must not trip the breaker (a burst of client disconnects
+			// would otherwise open breakers against healthy hosts). The
+			// half-open probe slot Allow may have reserved still has to
+			// be returned, or the breaker wedges open.
+			st.br.Release()
+		} else {
+			st.br.Record(kind == outcomeOK)
+		}
+	}
+	if cl.svc == nil {
+		return
+	}
+	st.replica.inflight.Add(-1)
+	// The elapsed-at-cancel of a cancelled attempt still feeds the outlier
+	// EWMA as a censored latency sample (a replica that is routinely
+	// slower than the hedge delay keeps looking slow).
+	cl.svc.observe(st.replica, elapsed, kind == outcomeBadStatus || kind == outcomeTransport)
+	switch kind {
+	case outcomeTransport:
+		// A dead connection often means the replica is gone; re-resolve
+		// before the cache TTL lapses.
+		cl.svc.invalidate()
+	case outcomeOK:
+		if c.hedger != nil {
+			c.hedger.observeLatency(cl.service, elapsed)
+		}
+	}
+}
+
+// hedge spends hedge budget and fires the second attempt at a replica
+// other than the primary. The pick is optional: when the budget is
+// exhausted or no sibling is admissible the hedge is simply not launched
+// and the budget refunded — the primary is still in flight, so nothing is
+// booked as a short circuit and the cache stays valid.
+func (c *Client) hedge(ctx context.Context, cl *call, addrs []string, primaryAddr string, ch chan<- attemptOutcome) *attemptState {
 	if !c.hedger.spend() {
 		return nil
 	}
-	avoid := map[string]bool{primaryAddr: true}
-	for a := range failed {
-		avoid[a] = true
-	}
-	addr, br, err := c.pickReplica(ctx, service, avoid, readMethod(method))
-	if err != nil || addr == primaryAddr {
-		if err == nil && br != nil {
-			br.Release()
-		}
+	addr, br := c.admit(cl, addrs, nil, map[string]bool{primaryAddr: true})
+	if addr == "" {
 		c.hedger.refund()
 		return nil
 	}
-	st, err := c.launchAttempt(ctx, method, service, addr, br, rest, body, contentType, ch)
+	st, err := c.launch(ctx, cl, addr, br, ch)
 	if err != nil {
 		c.hedger.refund()
 		return nil
 	}
 	c.hedges.Add(1)
-	c.balancer.markHedge(service, addr)
+	st.replica.hedges.Add(1)
 	return st
 }
 
 // abandonLoser cancels the losing attempt and drains its eventual
 // outcome in the background so neither the goroutine nor its response
-// body leaks. The loser's own goroutine has already done (or will do)
-// its breaker/balancer bookkeeping.
+// body leaks. The loser's own goroutine has already run (or will run) the
+// observe stage.
 func abandonLoser(st *attemptState, ch <-chan attemptOutcome) {
 	st.cancel()
 	go func() {
@@ -973,8 +1032,8 @@ func (b *cancelOnCloseBody) Close() error {
 	return err
 }
 
-// markFailed records a replica that failed the current logical call so
-// later attempts prefer its siblings.
+// markFailed adds an address to a lazily allocated set — the replicas
+// that failed the current logical call, or that a pick must skip.
 func markFailed(m map[string]bool, addr string) map[string]bool {
 	if m == nil {
 		m = map[string]bool{}
@@ -983,74 +1042,23 @@ func markFailed(m map[string]bool, addr string) map[string]bool {
 	return m
 }
 
-// readMethod reports whether a method is safe to serve from a non-owner
-// shard (shard-routing read fallback uses the same bar hedging does).
-func readMethod(method string) bool {
-	return method == http.MethodGet || method == http.MethodHead
-}
-
-// pickReplica resolves a logical service and picks a breaker-admitted
-// replica: power-of-two-choices over in-flight counts, skipping replicas
-// whose breaker refuses. When every live replica refuses, the cache is
-// invalidated (the list is evidently rotten) and ErrCircuitOpen surfaces
-// as one client-level short circuit.
-//
-// A shard key on the context (WithShardKey) narrows the pick to the
-// owner shard's replicas; readFallback (GET/HEAD) lets the pick widen
-// back to siblings when no owner replica is admissible. A write whose
-// owner shard has no pickable replica fails as a retryable routing
-// error — the failure invalidates the cache, so the retry re-resolves
-// and sees the post-churn shard map.
-func (c *Client) pickReplica(ctx context.Context, service string, failed map[string]bool, readFallback bool) (string, *Breaker, error) {
-	addrs, err := c.balancer.candidates(ctx, service)
-	if err != nil {
-		return "", nil, fmt.Errorf("httpkit: resolving %s: %w", service, err)
+// newRequest builds one attempt's request to addr; bodies are replayed
+// from the original bytes so every retry sends the full payload.
+func (cl *call) newRequest(ctx context.Context, addr string) (*http.Request, error) {
+	target := cl.target
+	if cl.svc != nil {
+		target = "http://" + addr + target
 	}
-	key, _ := ShardKeyFrom(ctx)
-	var refused map[string]bool
-	for {
-		candidates := addrs
-		if len(refused) > 0 {
-			candidates = make([]string, 0, len(addrs))
-			for _, a := range addrs {
-				if !refused[a] {
-					candidates = append(candidates, a)
-				}
-			}
-		}
-		addr := c.balancer.pick(service, candidates, failed, key, readFallback)
-		if addr == "" {
-			c.shortCircuits.Add(1)
-			c.balancer.Invalidate(service)
-			if key != "" && !readFallback {
-				return "", nil, fmt.Errorf("httpkit: no admissible replica owns the shard for key %q of %s (%d live replicas)", key, service, len(addrs))
-			}
-			return "", nil, fmt.Errorf("%w for all %d replicas of %s", ErrCircuitOpen, len(addrs), service)
-		}
-		if c.breakers == nil {
-			return addr, nil, nil
-		}
-		br := c.breakers.get(addr)
-		if br.Allow() {
-			return addr, br, nil
-		}
-		refused = markFailed(refused, addr)
-	}
-}
-
-// newRequest builds one attempt's request; bodies are replayed from the
-// original bytes so every retry sends the full payload.
-func (c *Client) newRequest(ctx context.Context, method, url string, body []byte, contentType string) (*http.Request, error) {
 	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	if cl.body != nil {
+		rd = bytes.NewReader(cl.body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	req, err := http.NewRequestWithContext(ctx, cl.method, target, rd)
 	if err != nil {
 		return nil, err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	if cl.contentType != "" {
+		req.Header.Set("Content-Type", cl.contentType)
 	}
 	injectTrace(req)
 	return req, nil

@@ -95,7 +95,8 @@ func skipObservation(path string) bool {
 	return strings.HasPrefix(path, "/trace/")
 }
 
-// statusWriter captures the response status for span recording.
+// statusWriter captures the response status — for the span, and for the
+// recover stage's "were headers already sent" check.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -115,64 +116,33 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// observe is the tracing middleware: it adopts or assigns the request's
-// trace identity, exposes it via context for downstream Client calls,
-// echoes it on the response, and records a latency sample plus a span when
-// the handler finishes (panics record a 500 span, then re-raise for the
-// outer Recover middleware).
-func (s *Server) observe(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if skipObservation(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
+// observe records one finished request: its span always, and a latency
+// sample when the request counts as one. status is what the handler wrote
+// (0 when nothing was written); a panic records a 500.
+func (s *Server) observe(r *http.Request, span Span, status int, panicked bool) {
+	abandoned := r.Context().Err() != nil
+	if panicked {
+		status = http.StatusInternalServerError
+	} else if status == 0 {
+		if abandoned {
+			// The client went away before a response was written — a
+			// cancelled hedge loser, a blackholed request, a closed
+			// connection.
+			status = 499
+		} else {
+			status = http.StatusOK
 		}
-		tc := TraceContext{ID: r.Header.Get(TraceIDHeader)}
-		if tc.ID == "" {
-			tc.ID = NewTraceID()
-		} else if d, err := strconv.Atoi(r.Header.Get(TraceDepthHeader)); err == nil && d > 0 {
-			tc.Depth = min(d, maxTraceDepth)
-		}
-		r = r.WithContext(WithTrace(r.Context(), tc))
-		w.Header().Set(TraceIDHeader, tc.ID)
-		sw := &statusWriter{ResponseWriter: w}
-		route := normalizeRoute(r.Method, r.URL.Path)
-		start := time.Now()
-		defer func() {
-			p := recover()
-			status := sw.status
-			abandoned := r.Context().Err() != nil
-			if p != nil {
-				status = http.StatusInternalServerError
-			} else if status == 0 {
-				if abandoned {
-					// The client went away before a response was
-					// written — a cancelled hedge loser, a blackholed
-					// request, a closed connection.
-					status = 499
-				} else {
-					status = http.StatusOK
-				}
-			}
-			elapsed := time.Since(start)
-			// One logical request, one latency sample: abandoned
-			// requests (hedge losers, blackholes — nobody received the
-			// response) and error answers (a retried 500 would sample
-			// the same logical request on two servers; sheds are
-			// already excluded upstream for the same reason) stay out
-			// of the latency histograms. Spans record everything.
-			if !abandoned && status < http.StatusInternalServerError {
-				s.stats.hist(route).Record(elapsed.Nanoseconds())
-			}
-			s.spans.add(Span{
-				TraceID: tc.ID, Service: s.name, Route: route, Depth: tc.Depth,
-				Start: start, Duration: elapsed, Status: status,
-			})
-			if p != nil {
-				panic(p)
-			}
-		}()
-		next.ServeHTTP(sw, r)
-	})
+	}
+	span.Duration, span.Status = time.Since(span.Start), status
+	// One logical request, one latency sample: abandoned requests (hedge
+	// losers, blackholes — nobody received the response) and error answers
+	// (a retried 500 would sample the same logical request on two servers;
+	// sheds never get here for the same reason) stay out of the latency
+	// histograms. Spans record everything.
+	if !abandoned && status < http.StatusInternalServerError {
+		s.stats.hist(span.Route).Record(span.Duration.Nanoseconds())
+	}
+	s.spans.add(span)
 }
 
 // Gauge is one labelled metric value a server exports beyond its built-in

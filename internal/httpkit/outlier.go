@@ -85,20 +85,20 @@ const outlierEwmaAlpha = 0.1
 // maxEjectionBackoff caps the linear ejection backoff multiplier.
 const maxEjectionBackoff = 10
 
-// Observe feeds one routed response's outcome into the per-replica
-// EWMAs and occasionally sweeps the service for outliers. Clients call
-// it for every balanced attempt — including cancelled ones, whose
-// elapsed-at-cancel is a censored (under-estimating) latency sample
-// that still preserves the slow-replica signal.
+// Observe feeds one routed response's outcome into a replica's EWMAs by
+// name — the entry point for callers outside the client pipeline, which
+// observes through the service handle it already holds.
 func (b *Balancer) Observe(name, addr string, latency time.Duration, failed bool) {
 	s := b.service(name)
-	s.mu.Lock()
-	r := s.replicas[addr]
-	if r == nil {
-		r = &replicaState{}
-		s.replicas[addr] = r
-	}
-	s.mu.Unlock()
+	s.observe(s.replica(addr), latency, failed)
+}
+
+// observe feeds one routed response's outcome into the replica's EWMAs
+// and occasionally sweeps the service for outliers. The pipeline calls it
+// for every balanced attempt — including cancelled ones, whose
+// elapsed-at-cancel is a censored (under-estimating) latency sample that
+// still preserves the slow-replica signal.
+func (s *balancedService) observe(r *replicaState, latency time.Duration, failed bool) {
 	r.mu.Lock()
 	r.samples++
 	a := outlierEwmaAlpha
@@ -112,24 +112,24 @@ func (b *Balancer) Observe(name, addr string, latency time.Duration, failed bool
 	}
 	r.ewmaErr += (f - r.ewmaErr) * a
 	r.mu.Unlock()
-	b.maybeSweep(name, s)
+	s.maybeSweep()
 }
 
 // maybeSweep runs the ejection sweep when its interval has lapsed; the
 // atomic claim keeps concurrent observers from sweeping twice.
-func (b *Balancer) maybeSweep(name string, s *balancedService) {
-	if b.outlier.Disabled {
+func (s *balancedService) maybeSweep() {
+	if s.b.outlier.Disabled {
 		return
 	}
 	now := time.Now().UnixNano()
 	last := s.lastSweep.Load()
-	if now-last < int64(b.outlier.SweepInterval) {
+	if now-last < int64(s.b.outlier.SweepInterval) {
 		return
 	}
 	if !s.lastSweep.CompareAndSwap(last, now) {
 		return
 	}
-	b.sweep(s)
+	s.sweep()
 }
 
 // outlierView is one replica's judged state during a sweep.
@@ -156,8 +156,8 @@ func (v outlierView) severity() float64 {
 // EWMAs reset so re-ejection needs fresh evidence) and ejects replicas
 // whose EWMA stands out from the pool median, bounded so the pool is
 // never ejected below one admissible replica.
-func (b *Balancer) sweep(s *balancedService) {
-	cfg := b.outlier
+func (s *balancedService) sweep() {
+	cfg := s.b.outlier
 	now := time.Now()
 	s.mu.Lock()
 	states := make([]*replicaState, 0, len(s.addrs))

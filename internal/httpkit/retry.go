@@ -44,12 +44,17 @@ func (p RetryPolicy) normalized() RetryPolicy {
 	return p
 }
 
-// retries reports whether the policy re-issues the given method at all.
-func (p RetryPolicy) retries(method string) bool {
-	if p.MaxAttempts <= 1 {
-		return false
-	}
-	return p.RetryNonIdempotent || method == http.MethodGet || method == http.MethodHead
+// readMethod reports whether a method only reads (GET or HEAD): safe to
+// issue twice, and to serve from a non-owner shard.
+func readMethod(method string) bool {
+	return method == http.MethodGet || method == http.MethodHead
+}
+
+// repeatable reports whether the policy lets a call with this method be
+// issued more than once — the one idempotency bar retries and hedges
+// share.
+func (p RetryPolicy) repeatable(method string) bool {
+	return p.RetryNonIdempotent || readMethod(method)
 }
 
 type callRetryKey struct{}

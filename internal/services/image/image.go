@@ -230,9 +230,10 @@ func lerp(a, b uint8, w float64) uint8 {
 // flightCall is one in-progress render that concurrent cache misses for
 // the same key wait on instead of rendering redundantly.
 type flightCall struct {
-	done chan struct{}
-	data []byte
-	err  error
+	done    chan struct{}
+	waiters int // callers parked on done (under flightGroup.mu)
+	data    []byte
+	err     error
 }
 
 // flightGroup collapses duplicate concurrent renders per key — a
@@ -250,6 +251,7 @@ func (g *flightGroup) do(key string, fn func() ([]byte, error)) ([]byte, error) 
 		g.calls = map[string]*flightCall{}
 	}
 	if c, ok := g.calls[key]; ok {
+		c.waiters++
 		g.mu.Unlock()
 		<-c.done
 		return c.data, c.err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"image/png"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -130,8 +131,19 @@ func TestFlightGroupCollapses(t *testing.T) {
 			}
 		}()
 	}
-	// Let every goroutine reach the flight before the leader finishes.
-	for calls.Load() == 0 {
+	// Release the leader only once the other seven callers are parked on
+	// its flight: a caller arriving after the flight completed would
+	// rightly run fn again.
+	parked := func() int {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		if c := g.calls["k"]; c != nil {
+			return c.waiters
+		}
+		return 0
+	}
+	for parked() < 7 {
+		runtime.Gosched()
 	}
 	close(gate)
 	wg.Wait()

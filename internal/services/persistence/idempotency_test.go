@@ -178,9 +178,9 @@ func TestIdempotencyKeyScopedPerUser(t *testing.T) {
 }
 
 // TestOrdersSincePagingOverHTTP: walking the paged feed reproduces the
-// deprecated full feed exactly, in ID order.
+// store's full order table exactly, in ID order.
 func TestOrdersSincePagingOverHTTP(t *testing.T) {
-	c, _ := newFixture(t)
+	c, store := newFixture(t)
 	ctx := context.Background()
 	rec, _ := c.UserByEmail(ctx, db.EmailFor(2))
 	page, _ := c.Products(ctx, 1, 0, 1)
@@ -189,26 +189,11 @@ func TestOrdersSincePagingOverHTTP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	full, err := c.AllOrders(ctx)
-	if err != nil || len(full) != 23 {
-		t.Fatalf("AllOrders = %d, %v", len(full), err)
+	full := store.AllOrders()
+	if len(full) != 23 {
+		t.Fatalf("store holds %d orders, want 23", len(full))
 	}
-	var walked []db.Order
-	since := int64(0)
-	for {
-		batch, err := c.OrdersSince(ctx, since, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batch) == 0 {
-			break
-		}
-		if len(batch) > 5 {
-			t.Fatalf("page of %d exceeds requested limit 5", len(batch))
-		}
-		walked = append(walked, batch...)
-		since = batch[len(batch)-1].ID
-	}
+	walked := walkOrders(t, c, 5)
 	if len(walked) != len(full) {
 		t.Fatalf("paged walk got %d orders, full feed %d", len(walked), len(full))
 	}

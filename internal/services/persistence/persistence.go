@@ -116,7 +116,6 @@ const maxBatchProducts = 256
 //	GET  /users/{id}/orders
 //	POST /orders                    {userId, items, clientOrderId?} (+ Idempotency-Key header)
 //	GET  /orders?sinceId=&limit=    (incremental training feed, ID-ordered)
-//	GET  /orders/all                (deprecated alias: the full feed in one response)
 //	POST /generate                  db.GenerateSpec
 //	GET  /stats
 func (s *Service) Mux() *http.ServeMux {
@@ -272,11 +271,6 @@ func (s *Service) Mux() *http.ServeMux {
 		}
 		httpkit.WriteJSON(w, http.StatusOK, s.cluster.OrdersSince(sinceID, limit))
 	})
-	// Deprecated: the unpaged full feed — one unbounded copy per call.
-	// Kept as an alias for old consumers; new code pages GET /orders.
-	mux.HandleFunc("GET /orders/all", func(w http.ResponseWriter, r *http.Request) {
-		httpkit.WriteJSON(w, http.StatusOK, s.cluster.AllOrders())
-	})
 	mux.HandleFunc("POST /generate", func(w http.ResponseWriter, r *http.Request) {
 		spec := db.DefaultGenerateSpec()
 		if r.ContentLength > 0 {
@@ -310,7 +304,7 @@ func (s *Service) stats() map[string]int {
 
 // defaultOrderPage and maxOrderPage bound the incremental feed: the
 // default keeps pages cheap, the cap keeps a hostile limit from turning
-// the paged route back into /orders/all.
+// the paged route into one unbounded copy of the order table.
 const (
 	defaultOrderPage = 256
 	maxOrderPage     = 1000
@@ -470,15 +464,6 @@ func NewOrderKey() string {
 func (c *Client) OrdersSince(ctx context.Context, sinceID int64, limit int) ([]db.Order, error) {
 	var out []db.Order
 	err := c.http.GetJSON(ctx, fmt.Sprintf("%s/orders?sinceId=%d&limit=%d", c.base, sinceID, limit), &out)
-	return out, err
-}
-
-// AllOrders fetches the full training feed in one response.
-//
-// Deprecated: page with OrdersSince; this copies every order per call.
-func (c *Client) AllOrders(ctx context.Context) ([]db.Order, error) {
-	var out []db.Order
-	err := c.http.GetJSON(ctx, c.base+"/orders/all", &out)
 	return out, err
 }
 

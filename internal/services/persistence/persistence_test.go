@@ -25,6 +25,28 @@ func newFixture(t *testing.T) (*Client, *db.Store) {
 	return NewClient(srv.URL, httpkit.NewClient(5*time.Second)), store
 }
 
+// walkOrders reads the whole order feed the way its consumers do: page by
+// page from the last ID seen, until an empty page.
+func walkOrders(t *testing.T, c *Client, pageSize int) []db.Order {
+	t.Helper()
+	var walked []db.Order
+	since := int64(0)
+	for {
+		batch, err := c.OrdersSince(context.Background(), since, pageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batch) == 0 {
+			return walked
+		}
+		if len(batch) > pageSize {
+			t.Fatalf("page of %d exceeds requested limit %d", len(batch), pageSize)
+		}
+		walked = append(walked, batch...)
+		since = batch[len(batch)-1].ID
+	}
+}
+
 func TestCatalogEndpoints(t *testing.T) {
 	c, _ := newFixture(t)
 	ctx := context.Background()
@@ -93,9 +115,8 @@ func TestOrderEndpoints(t *testing.T) {
 	if err != nil || len(mine) == 0 || mine[0].ID != order.ID {
 		t.Fatalf("Orders = %v, %v", mine, err)
 	}
-	all, err := c.AllOrders(ctx)
-	if err != nil || len(all) != store.NumOrders() {
-		t.Fatalf("AllOrders = %d, %v", len(all), err)
+	if all := walkOrders(t, c, 4); len(all) != store.NumOrders() {
+		t.Fatalf("paged feed holds %d orders, store %d", len(all), store.NumOrders())
 	}
 	// Write validation surfaces as 4xx.
 	if _, err := c.PlaceOrder(ctx, rec.ID, nil); !httpkit.IsStatus(err, 400) {
