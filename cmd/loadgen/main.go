@@ -1,16 +1,17 @@
 // Command loadgen drives user load at a running TeaStore and prints a
-// throughput/latency report. It runs closed-loop by default (a fixed
-// user population, each request waiting for the previous one) and
-// open-loop with -open (arrivals scheduled on a global timeline at
-// -rate req/s, latency recorded coordinated-omission-safely from each
-// arrival's intended time).
+// throughput/latency report. -users runs a closed loop (a fixed user
+// population, each session's next request waiting for its previous one);
+// -rate runs an open loop (arrivals scheduled on a global timeline at
+// -rate req/s whatever the stack does). Either way one engine measures:
+// latency is recorded coordinated-omission-safely from each arrival's
+// intended time, next to the service time from dispatch.
 //
 // Usage:
 //
 //	loadgen -webui http://127.0.0.1:PORT -persistence http://127.0.0.1:PORT \
 //	        [-users 64] [-duration 30s] [-warmup 5s] [-profile browse]
 //	        [-think-scale 1.0] [-catalog-users 100] [-registry http://127.0.0.1:PORT]
-//	        [-open -rate 100 -shape flash -arrivals poisson] [-trace trace.csv]
+//	        [-rate 100 -shape flash -arrivals poisson] [-trace trace.csv]
 //
 // With -registry set, sessions spread across every live webui replica
 // (including ones the autoscaler starts mid-run) and the run ends with a
@@ -31,7 +32,6 @@ import (
 
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
-	"repro/internal/openloop"
 	"repro/internal/workload"
 )
 
@@ -40,49 +40,33 @@ func main() {
 	persistenceURL := flag.String("persistence", "", "Persistence base URL (required, for catalog discovery)")
 	registryURL := flag.String("registry", "", "Registry base URL (optional; spreads sessions across live webui replicas and prints the per-service latency breakdown after the run)")
 	users := flag.Int("users", 64, "closed-loop user population")
-	sweep := flag.String("sweep", "", "comma-separated user counts; runs one measurement per count and prints a scaling table (overrides -users)")
+	sweep := flag.String("sweep", "", "comma-separated user counts; runs one measurement per count, printing each report (overrides -users)")
 	duration := flag.Duration("duration", 30*time.Second, "measured duration")
 	warmup := flag.Duration("warmup", 5*time.Second, "warmup before measurement")
 	profileName := flag.String("profile", "browse", "behaviour profile: "+strings.Join(workload.ProfileNames(), ", "))
 	thinkScale := flag.Float64("think-scale", 1.0, "think-time multiplier")
 	catalogUsers := flag.Int("catalog-users", 100, "demo accounts in the store")
 	seed := flag.Int64("seed", 1, "random seed")
-	timeline := flag.Bool("timeline", false, "record and print a per-second window breakdown of the measured run")
+	timeline := flag.Bool("timeline", false, "print the per-second window breakdown of the measured run")
 	retryIdem := flag.Bool("retry-idempotent", false, "retry failed GETs up to twice, re-picking the webui replica")
 	ejectOutliers := flag.Bool("eject-outliers", false, "steer sessions away from webui replicas whose latency EWMA stands far above their peers (needs -registry)")
 
-	open := flag.Bool("open", false, "open-loop mode: schedule arrivals at -rate req/s instead of a fixed user population")
-	rate := flag.Float64("rate", 0, "open-loop mean offered rate in req/s (required with -open)")
-	arrivalsName := flag.String("arrivals", "poisson", "open-loop arrival process: "+strings.Join(openloop.ArrivalNames(), ", "))
-	shapeName := flag.String("shape", "steady", "open-loop rate shape: "+strings.Join(openloop.ShapeNames(), ", "))
+	rate := flag.Float64("rate", 0, "open-loop mean offered rate in req/s; > 0 selects the open loop instead of -users")
+	arrivalsName := flag.String("arrivals", "poisson", "open-loop arrival process: "+strings.Join(loadgen.ArrivalNames(), ", "))
+	shapeName := flag.String("shape", "steady", "open-loop rate shape: "+strings.Join(loadgen.ShapeNames(), ", "))
 	tracePath := flag.String("trace", "", "open-loop rate trace file (\"seconds,rate\" CSV; overrides -shape)")
 	maxInflight := flag.Int("max-inflight", 0, "open-loop connection-pool cap (0 → 128); arrivals beyond it queue, then drop")
 	flag.Parse()
 
-	profile, ok := workload.Profiles()[*profileName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "loadgen: unknown profile %q (valid: %s)\n",
-			*profileName, strings.Join(workload.ProfileNames(), ", "))
+	usage := func(err any) {
+		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(2)
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	if *open {
-		runOpen(ctx, openOptions{
-			webui: *webui, persistence: *persistenceURL, registry: *registryURL,
-			profile: profile, rate: *rate, warmup: *warmup, duration: *duration,
-			arrivals: *arrivalsName, shape: *shapeName, trace: *tracePath,
-			maxInflight: *maxInflight, thinkScale: *thinkScale,
-			catalogUsers: *catalogUsers, seed: *seed,
-			retryIdem: *retryIdem, ejectOutliers: *ejectOutliers,
-		})
-		printBreakdown(*registryURL)
-		return
+	profile, ok := workload.Profiles()[*profileName]
+	if !ok {
+		usage(fmt.Sprintf("unknown profile %q (valid: %s)", *profileName, strings.Join(workload.ProfileNames(), ", ")))
 	}
-
-	base := loadgen.Config{
+	cfg := loadgen.Config{
 		WebUIURL:        *webui,
 		PersistenceURL:  *persistenceURL,
 		RegistryURL:     *registryURL,
@@ -92,120 +76,70 @@ func main() {
 		ThinkScale:      *thinkScale,
 		CatalogUsers:    *catalogUsers,
 		Seed:            *seed,
-		Timeline:        *timeline,
 		RetryIdempotent: *retryIdem,
 		EjectOutliers:   *ejectOutliers,
 	}
+	counts := []int{*users}
+	if *rate > 0 {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "users" || f.Name == "sweep" {
+				usage("-rate (open loop) and -" + f.Name + " (closed loop) are mutually exclusive")
+			}
+		})
+		var err error
+		if *tracePath != "" {
+			cfg.Shape, err = loadgen.LoadTraceShape(*tracePath)
+		} else {
+			cfg.Shape, err = loadgen.NewShape(*shapeName)
+		}
+		if err != nil {
+			usage(err)
+		}
+		if cfg.Arrivals, err = loadgen.NewArrivalProcess(*arrivalsName); err != nil {
+			usage(err)
+		}
+		cfg.Rate, cfg.MaxInflight = *rate, *maxInflight
+		counts = []int{0} // one run, no population
+	} else if *sweep != "" {
+		var err error
+		if counts, err = parseSweep(*sweep); err != nil {
+			usage(err)
+		}
+	}
 
-	if *sweep != "" {
-		counts, err := parseSweep(*sweep)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
+	for _, n := range counts {
+		cfg.Users = n
+		res, err := loadgen.Run(ctx, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(2)
+			os.Exit(1)
 		}
-		fmt.Printf("%8s %12s %10s %10s %10s %8s\n", "users", "req/s", "p50 ms", "p99 ms", "requests", "errors")
-		for _, n := range counts {
-			cfg := base
-			cfg.Users = n
-			res, err := loadgen.Run(ctx, cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "loadgen:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("%8d %12.1f %10.2f %10.2f %10d %8d\n",
-				n, res.Throughput,
-				float64(res.Latency.P50)/1e6, float64(res.Latency.P99)/1e6,
-				res.Requests, res.Errors)
-		}
-		printBreakdown(*registryURL)
-		return
+		printReport(cfg, res, *timeline)
 	}
-
-	cfg := base
-	cfg.Users = *users
-	res, err := loadgen.Run(ctx, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
-	}
-
-	fmt.Printf("throughput: %.1f req/s (%d requests, %d errors, %d shed, %d retried, %d idem-retried, %d idem-failed)\n",
-		res.Throughput, res.Requests, res.Errors, res.Shed, res.Retries,
-		res.IdempotentRetries, res.IdempotentFailures)
-	fmt.Printf("latency:    %v\n", res.Latency)
-	printPerRequest(res.PerRequest)
-	printTimeline(res.Timeline)
 	printBreakdown(*registryURL)
 }
 
-// openOptions carries the open-loop flag set.
-type openOptions struct {
-	webui, persistence, registry string
-	profile                      *workload.Profile
-	rate                         float64
-	warmup, duration             time.Duration
-	arrivals, shape, trace       string
-	maxInflight                  int
-	thinkScale                   float64
-	catalogUsers                 int
-	seed                         int64
-	retryIdem, ejectOutliers     bool
-}
-
-// runOpen executes one open-loop run and prints the offered-vs-achieved
-// report with both latency views.
-func runOpen(ctx context.Context, o openOptions) {
-	if o.rate <= 0 {
-		fmt.Fprintln(os.Stderr, "loadgen: -open requires -rate > 0")
-		os.Exit(2)
+// printReport prints one run's offered-vs-achieved report with both
+// latency views; a closed loop simply reports zero drops.
+func printReport(cfg loadgen.Config, res loadgen.Result, timeline bool) {
+	pacing := fmt.Sprintf("closed loop, %d users", cfg.Users)
+	if cfg.Rate > 0 {
+		pacing = res.Shape + " × " + res.Arrivals
 	}
-	var shape openloop.RateShape
-	var err error
-	if o.trace != "" {
-		shape, err = openloop.LoadTraceShape(o.trace)
-	} else {
-		shape, err = openloop.NewShape(o.shape)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(2)
-	}
-	proc, err := openloop.NewArrivalProcess(o.arrivals)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(2)
-	}
-	res, err := openloop.Run(ctx, openloop.Config{
-		WebUIURL:        o.webui,
-		PersistenceURL:  o.persistence,
-		RegistryURL:     o.registry,
-		Profile:         o.profile,
-		Rate:            o.rate,
-		Warmup:          o.warmup,
-		Duration:        o.duration,
-		Shape:           shape,
-		Arrivals:        proc,
-		MaxInflight:     o.maxInflight,
-		ThinkScale:      o.thinkScale,
-		CatalogUsers:    o.catalogUsers,
-		Seed:            o.seed,
-		RetryIdempotent: o.retryIdem,
-		EjectOutliers:   o.ejectOutliers,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("offered:  %.1f req/s (%s × %s, %d arrivals)\n",
-		res.OfferedRate, res.Shape, res.Arrivals, res.Offered)
-	fmt.Printf("achieved: %.1f req/s (%d served, %d errors, %d dropped, %d shed, %d retried, %d idem-failed)\n",
+	fmt.Printf("offered:  %.1f req/s (%s, %d arrivals)\n", res.OfferedRate, pacing, res.Offered)
+	fmt.Printf("achieved: %.1f req/s (%d served, %d errors, %d dropped, %d shed, %d retried, %d idem-retried, %d idem-failed)\n",
 		res.AchievedRate, res.Served, res.Errors, res.Dropped, res.Shed,
-		res.Retries, res.IdempotentFailures)
+		res.Retries, res.IdempotentRetries, res.IdempotentFailures)
 	fmt.Printf("sessions: %d created, peak %d in flight\n", res.SessionsCreated, res.PeakInflight)
 	fmt.Printf("latency (CO-safe, from intended arrival): %v\n", res.Latency)
 	fmt.Printf("latency (service time, from dispatch):    %v\n", res.ServiceLatency)
 	printPerRequest(res.PerRequest)
-	printTimeline(res.Timeline)
+	if timeline {
+		printTimeline(res.Timeline)
+	}
 }
 
 // printPerRequest prints the per-request-type latency table.
@@ -220,9 +154,7 @@ func printPerRequest(perReq map[workload.Request]metrics.Snapshot) {
 	}
 }
 
-// printTimeline prints the per-second window table. The offered and
-// dropped columns are the open-loop demand axis; closed-loop runs leave
-// them zero (a closed loop has no arrival schedule to miss).
+// printTimeline prints the per-second window table.
 func printTimeline(windows []loadgen.Window) {
 	if len(windows) == 0 {
 		return

@@ -1,18 +1,11 @@
-// Command perfbench runs the PR's benchmark harness: head-to-head micro
-// benchmarks of every optimized hot path against compiled-in replicas of
-// the pre-optimization implementations, plus a closed-loop run of the
-// full stack. It writes the machine-readable report (BENCH_PR4.json)
-// and, given a checked-in baseline, enforces the regression gate.
-//
-// With -write it instead runs the sharded-persistence write-mix sweep
+// Command perfbench runs the sharded-persistence write-mix sweep
 // (closed-loop browse:checkout ≈ 70:30 at 1/2/4 shards), writes
 // BENCH_PR8.json, and -write-gate enforces the scaling and correctness
 // gate (4-vs-1-shard checkout speedup, tail bound, stored == acked).
 //
 // Usage:
 //
-//	go run ./cmd/perfbench -quick -out bench_new.json -baseline BENCH_PR4.json -gate
-//	go run ./cmd/perfbench -quick -write -write-out bench_write.json -write-gate
+//	go run ./cmd/perfbench -quick -write-out bench_write.json -write-gate
 package main
 
 import (
@@ -25,32 +18,18 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "shorten the closed-loop stack run (CI mode)")
-	out := flag.String("out", "BENCH_PR4.json", "where to write the report")
-	baselinePath := flag.String("baseline", "", "checked-in report to gate against")
-	gate := flag.Bool("gate", false, "exit non-zero if a tracked metric regresses >15% vs -baseline")
-	write := flag.Bool("write", false, "run the sharded-persistence write-mix sweep instead of the micro harness")
-	writeOut := flag.String("write-out", "BENCH_PR8.json", "where -write writes its report")
-	writeGate := flag.Bool("write-gate", false, "exit non-zero if the -write run misses the scaling floor or write correctness")
+	quick := flag.Bool("quick", false, "shorten the measured runs (CI mode)")
+	out := flag.String("write-out", "BENCH_PR8.json", "where to write the report")
+	gate := flag.Bool("write-gate", false, "exit non-zero if the run misses the scaling floor or write correctness")
 	flag.Parse()
 
-	logf := func(format string, args ...any) {
+	rep, err := perfbench.RunWriteMix(perfbench.Options{Quick: *quick, Log: func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-	if *write {
-		runWriteMix(*quick, *writeOut, *writeGate, logf)
-		return
-	}
-
-	rep, err := perfbench.Run(perfbench.Options{
-		Quick: *quick,
-		Log:   logf,
-	})
+	}})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(1)
 	}
-
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
@@ -61,56 +40,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(1)
 	}
-	fmt.Print(perfbench.Summary(rep))
-	fmt.Println("report:", *out)
-
-	if *baselinePath == "" {
-		return
-	}
-	raw, err := os.ReadFile(*baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfbench: baseline:", err)
-		os.Exit(1)
-	}
-	var base perfbench.Report
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintln(os.Stderr, "perfbench: baseline:", err)
-		os.Exit(1)
-	}
-	violations := perfbench.Gate(base, rep)
-	if len(violations) == 0 {
-		fmt.Println("gate: PASS (no tracked metric regressed >15% vs", *baselinePath+")")
-		return
-	}
-	fmt.Fprintln(os.Stderr, "gate: FAIL")
-	for _, v := range violations {
-		fmt.Fprintln(os.Stderr, "  -", v)
-	}
-	if *gate {
-		os.Exit(2)
-	}
-}
-
-// runWriteMix executes the write-mix sweep, writes its report, and
-// optionally enforces the gate.
-func runWriteMix(quick bool, out string, gate bool, logf func(string, ...any)) {
-	rep, err := perfbench.RunWriteMix(perfbench.Options{Quick: quick, Log: logf})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfbench:", err)
-		os.Exit(1)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfbench:", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "perfbench:", err)
-		os.Exit(1)
-	}
 	fmt.Print(perfbench.WriteSummary(rep))
-	fmt.Println("report:", out)
+	fmt.Println("report:", *out)
 
 	violations := perfbench.GateWrite(rep)
 	if len(violations) == 0 {
@@ -121,7 +52,7 @@ func runWriteMix(quick bool, out string, gate bool, logf func(string, ...any)) {
 	for _, v := range violations {
 		fmt.Fprintln(os.Stderr, "  -", v)
 	}
-	if gate {
+	if *gate {
 		os.Exit(2)
 	}
 }

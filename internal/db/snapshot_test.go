@@ -148,3 +148,29 @@ func BenchmarkStoreCatalogRead(b *testing.B) {
 		}
 	})
 }
+
+// TestCatalogReadAllocFree pins the page-mix read at zero allocations:
+// the snapshot design hands out shared immutable slices, so a catalog
+// page costs pointer loads, not copies.
+func TestCatalogReadAllocFree(t *testing.T) {
+	s := seeded(t)
+	cats := s.Categories()
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		i++
+		_ = s.Categories()
+		page, _, err := s.ProductsByCategory(cats[i%len(cats)].ID, 0, 8)
+		if err != nil || len(page) == 0 {
+			t.Fatalf("bad page: %v", err)
+		}
+		if _, err := s.Product(page[0].ID); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Product(page[len(page)-1].ID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("catalog page-mix read allocs/op = %.1f, want 0", allocs)
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/httpkit"
 	"repro/internal/loadgen"
+	"repro/internal/metrics"
 	"repro/internal/scalectl"
 	"repro/internal/teastore"
 	"repro/internal/workload"
@@ -286,11 +287,10 @@ func runVariant(ctx context.Context, sc Scenario, opts Options, slo SLO, defende
 		// routing around a sick replica — which only shows when the stack
 		// is not CPU-saturated; a queueing-dominated stack hides the gray
 		// replica behind noise no defense can route around.
-		Profile:        workload.Profiles()["browse"],
-		ThinkScale:     0.4,
-		CatalogUsers:   10,
-		Seed:           opts.Seed,
-		Timeline:       true,
+		Profile:      workload.Profiles()["browse"],
+		ThinkScale:   0.4,
+		CatalogUsers: 10,
+		Seed:         opts.Seed,
 	}
 	if defended {
 		lcfg.RetryIdempotent = true
@@ -338,7 +338,7 @@ func runVariant(ctx context.Context, sc Scenario, opts Options, slo SLO, defende
 	v := &Variant{
 		Defended:           defended,
 		Users:              lcfg.Users,
-		Requests:           res.Requests,
+		Requests:           res.Served,
 		Errors:             res.Errors,
 		Shed:               res.Shed,
 		IdempotentRetries:  res.IdempotentRetries,
@@ -496,15 +496,7 @@ func medianWindowP99Ms(windows []loadgen.Window) float64 {
 			vals = append(vals, float64(w.P99Ns)/1e6)
 		}
 	}
-	if len(vals) == 0 {
-		return 0
-	}
-	sort.Float64s(vals)
-	n := len(vals)
-	if n%2 == 1 {
-		return vals[n/2]
-	}
-	return (vals[n/2-1] + vals[n/2]) / 2
+	return metrics.Median(vals)
 }
 
 // recoverySeconds finds, scanning from the given window index, the first

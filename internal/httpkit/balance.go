@@ -435,6 +435,23 @@ func (s *balancedService) pickFrom(candidates []string, avoid map[string]bool) s
 	return pool[i]
 }
 
+// Stick is the pick for callers that hold state on a replica (a browser
+// session's login, say) and route outside the client pipeline: current is
+// kept while the service still lists it and outlier detection has not
+// ejected it; otherwise — or when current is empty — a fresh replica is
+// picked. Such callers report each outcome through Observe.
+func (b *Balancer) Stick(ctx context.Context, name, current string) (string, error) {
+	s := b.service(name)
+	addrs, err := s.candidates(ctx)
+	if err != nil {
+		return "", err
+	}
+	if slices.Contains(addrs, current) && !s.replica(current).ejected.Load() {
+		return current, nil
+	}
+	return s.pickFrom(addrs, nil), nil
+}
+
 // skipEjectedLocked filters currently-ejected replicas out of a pick pool
 // (s.mu held), unless that would empty it (the sweep's floor makes that
 // rare, but a pool shrunk by avoid-filtering can consist solely of

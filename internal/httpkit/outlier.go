@@ -1,8 +1,11 @@
 package httpkit
 
 import (
+	"slices"
 	"sort"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // OutlierConfig tunes the balancer's passive outlier detection: every
@@ -86,7 +89,8 @@ const outlierEwmaAlpha = 0.1
 const maxEjectionBackoff = 10
 
 // Observe feeds one routed response's outcome into a replica's EWMAs by
-// name — the entry point for callers outside the client pipeline, which
+// name — the entry point for callers routing outside the client pipeline
+// (the load generator's sessions, steering with Stick); the pipeline
 // observes through the service handle it already holds.
 func (b *Balancer) Observe(name, addr string, latency time.Duration, failed bool) {
 	s := b.service(name)
@@ -137,8 +141,9 @@ type outlierView struct {
 	r        *replicaState
 	lat, err float64
 	// baseLat/baseErr are the leave-one-out medians of the peers this
-	// replica is judged against.
+	// replica is judged against; latOut is the latency verdict.
 	baseLat, baseErr float64
+	latOut           bool
 }
 
 // severity orders outlier candidates: latency ratio over the peer
@@ -200,19 +205,18 @@ func (s *balancedService) sweep() {
 	}
 
 	// Each candidate is judged against the leave-one-out median of its
-	// peers — with the candidate itself excluded, a single gray replica
-	// in a 2-replica pool cannot drag the baseline toward itself, and a
-	// pool-wide degradation (every replica equally bad) ejects nobody.
+	// peers (metrics.PeerOutlier) — a single gray replica in a 2-replica
+	// pool cannot drag the baseline toward itself, and a pool-wide
+	// degradation (every replica equally bad) ejects nobody.
+	lats := make([]float64, len(judged))
+	errs := make([]float64, len(judged))
+	for i, v := range judged {
+		lats[i], errs[i] = v.lat, v.err
+	}
 	for i := range judged {
-		var lats, errs []float64
-		for j, o := range judged {
-			if j != i {
-				lats = append(lats, o.lat)
-				errs = append(errs, o.err)
-			}
-		}
-		judged[i].baseLat = median(lats)
-		judged[i].baseErr = median(errs)
+		v := &judged[i]
+		v.baseLat, v.latOut = metrics.PeerOutlier(lats, i, cfg.LatencyFactor, float64(cfg.MinLatencyExcess))
+		v.baseErr = metrics.Median(slices.Delete(slices.Clone(errs), i, i+1))
 	}
 
 	// Never eject more than the configured fraction of the pool, and
@@ -231,10 +235,8 @@ func (s *balancedService) sweep() {
 		if ejected >= maxEject {
 			return
 		}
-		latOut := v.baseLat > 0 && v.lat > cfg.LatencyFactor*v.baseLat &&
-			v.lat-v.baseLat > float64(cfg.MinLatencyExcess)
 		errOut := v.err >= cfg.ErrorThreshold && v.err > 2*v.baseErr
-		if !latOut && !errOut {
+		if !v.latOut && !errOut {
 			return // sorted: the rest are milder still
 		}
 		v.r.mu.Lock()
@@ -249,19 +251,6 @@ func (s *balancedService) sweep() {
 		v.r.mu.Unlock()
 		ejected++
 	}
-}
-
-// median of a small unsorted slice (mutates its argument's order).
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // Ejected lists a service's currently-ejected replica addresses.

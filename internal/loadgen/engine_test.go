@@ -1,4 +1,4 @@
-package openloop
+package loadgen
 
 import (
 	"context"
@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/loadgen"
 	"repro/internal/workload"
 )
 
@@ -18,20 +17,21 @@ type fakeSession struct {
 	think   time.Duration
 	walkLen int
 	pos     int
+	ended   *atomic.Int64
 }
 
 func (s *fakeSession) Next() (workload.Request, bool) {
 	if s.pos >= s.walkLen {
+		s.ended.Add(1)
 		return 0, false
 	}
 	s.pos++
 	return workload.ReqHome, true
 }
 func (s *fakeSession) Think() time.Duration { return s.think }
-func (s *fakeSession) Issue(ctx context.Context, _ workload.Request) error {
-	return s.issue(ctx)
+func (s *fakeSession) Issue(ctx context.Context, _ workload.Request) (tally, error) {
+	return tally{}, s.issue(ctx)
 }
-func (s *fakeSession) Counters() loadgen.SessionCounters { return loadgen.SessionCounters{} }
 
 // fakeSource mints fakeSessions.
 type fakeSource struct {
@@ -39,13 +39,13 @@ type fakeSource struct {
 	think   time.Duration
 	walkLen int
 	minted  atomic.Int64
+	ended   atomic.Int64 // walks that ran out
 }
 
 func (f *fakeSource) New() (virtSession, error) {
 	f.minted.Add(1)
-	return &fakeSession{issue: f.issue, think: f.think, walkLen: f.walkLen}, nil
+	return &fakeSession{issue: f.issue, think: f.think, walkLen: f.walkLen, ended: &f.ended}, nil
 }
-func (f *fakeSource) SetMeasuring(bool) {}
 
 // TestEngineCoordinatedOmissionVisible is the CO proof: a 1-second
 // server stall at 100 rps must produce on the order of 100 high-latency
@@ -72,14 +72,13 @@ func TestEngineCoordinatedOmissionVisible(t *testing.T) {
 		return nil
 	}
 	src := &fakeSource{issue: issue, walkLen: 1 << 20}
-	tl := loadgen.NewTimeline()
 	res, err := run(context.Background(), Config{
 		Rate:        100,
 		Duration:    3 * time.Second,
 		Arrivals:    uniform{},
 		MaxInflight: 8,
 		MaxPending:  10_000,
-	}, src, tl)
+	}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestEngineSessionMultiplexing(t *testing.T) {
 		Arrivals:    uniform{},
 		MaxInflight: 16,
 		MaxPending:  10_000,
-	}, src, loadgen.NewTimeline())
+	}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +156,13 @@ func TestEngineDropsAccounted(t *testing.T) {
 		issue:   func(context.Context) error { time.Sleep(50 * time.Millisecond); return nil },
 		walkLen: 1 << 20,
 	}
-	tl := loadgen.NewTimeline()
 	res, err := run(context.Background(), Config{
 		Rate:        200,
 		Duration:    time.Second,
 		Arrivals:    uniform{},
 		MaxInflight: 2,
 		MaxPending:  2,
-	}, src, tl)
+	}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +208,7 @@ func TestEngineErrorsCounted(t *testing.T) {
 		Arrivals:    uniform{},
 		MaxInflight: 8,
 		MaxPending:  1000,
-	}, src, loadgen.NewTimeline())
+	}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +235,122 @@ func TestEngineRetiresEndedWalks(t *testing.T) {
 		Arrivals:    uniform{},
 		MaxInflight: 8,
 		MaxPending:  1000,
-	}, src, loadgen.NewTimeline())
+	}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.SessionsCreated < res.Served {
 		t.Fatalf("sessions created %d < served %d: one-request walks must retire and remint", res.SessionsCreated, res.Served)
+	}
+}
+
+// TestEngineClosedLittlesLaw: under the closed policy N users with
+// service time S and think time Z complete N·T/(S+Z) requests in T — the
+// population, not a schedule, sets the rate. Nothing is dropped, no more
+// than N requests are ever in flight, and every ended walk is replaced by
+// exactly one fresh session.
+func TestEngineClosedLittlesLaw(t *testing.T) {
+	const (
+		users   = 8
+		service = 10 * time.Millisecond
+		think   = 40 * time.Millisecond
+		dur     = 2 * time.Second
+	)
+	src := &fakeSource{
+		issue:   func(context.Context) error { time.Sleep(service); return nil },
+		think:   think,
+		walkLen: 10,
+	}
+	res, err := run(context.Background(), Config{Users: users, Duration: dur}, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := float64(users) * dur.Seconds() / (service + think).Seconds()
+	if math.Abs(float64(res.Served)-want) > 0.10*want {
+		t.Fatalf("served %d, want %.0f ±10%% (N·T/(S+Z))", res.Served, want)
+	}
+	if res.Dropped != 0 || res.Errors != 0 {
+		t.Fatalf("dropped %d, errors %d; a closed loop never drops", res.Dropped, res.Errors)
+	}
+	if res.Offered != res.Served+res.Errors+res.Dropped {
+		t.Fatalf("accounting: offered %d != served %d + errors %d + dropped %d",
+			res.Offered, res.Served, res.Errors, res.Dropped)
+	}
+	if res.PeakInflight > users {
+		t.Fatalf("peak inflight %d exceeds the population %d", res.PeakInflight, users)
+	}
+	if got, want := src.minted.Load(), users+src.ended.Load(); got != want || res.SessionsCreated != got {
+		t.Fatalf("minted %d sessions (result says %d), want population %d + %d ended walks = %d",
+			got, res.SessionsCreated, users, src.ended.Load(), want)
+	}
+}
+
+// TestEngineCoordinatedOmissionBothSides is the mirror of
+// TestEngineCoordinatedOmissionVisible: the same 1-second stall, seen by
+// the same engine under both arrival policies. The closed population of
+// 8 stops offering while it waits, so the stall costs it at most 8 slow
+// samples and its two latency views coincide; the open schedule keeps
+// arriving at 100 rps, so the stall second alone holds ~100 arrivals,
+// most of them slow.
+func TestEngineCoordinatedOmissionBothSides(t *testing.T) {
+	// stallScript blocks everything dispatched in second [1,2) after the
+	// first issue until the stall lifts, counting who it caught.
+	stallScript := func(stalled *atomic.Int64) func(context.Context) error {
+		var anchorNs atomic.Int64
+		return func(ctx context.Context) error {
+			now := time.Now()
+			anchorNs.CompareAndSwap(0, now.UnixNano())
+			anchor := time.Unix(0, anchorNs.Load())
+			if el := now.Sub(anchor); el >= time.Second && el < 2*time.Second {
+				stalled.Add(1)
+				select {
+				case <-time.After(time.Until(anchor.Add(2 * time.Second))):
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}
+			time.Sleep(time.Millisecond)
+			return nil
+		}
+	}
+	slow := func(w Window) bool { return time.Duration(w.P99Ns) >= 500*time.Millisecond }
+
+	var stalled atomic.Int64
+	closed, err := run(context.Background(), Config{Users: 8, Duration: 3 * time.Second},
+		&fakeSource{issue: stallScript(&stalled), think: 9 * time.Millisecond, walkLen: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := stalled.Load(); n < 1 || n > 8 {
+		t.Fatalf("closed loop: %d requests met the stall, want 1..8 (the population)", n)
+	}
+	if closed.Dropped != 0 || closed.Offered != closed.Served+closed.Errors {
+		t.Fatalf("closed loop accounting: offered %d, served %d, errors %d, dropped %d",
+			closed.Offered, closed.Served, closed.Errors, closed.Dropped)
+	}
+	// Only those ≤8 samples are slow: the rest of the distribution never
+	// saw the stall, and the CO-safe view has nothing to add to the
+	// service-time view.
+	if got := time.Duration(closed.Latency.P90); got > 100*time.Millisecond {
+		t.Fatalf("closed loop P90 = %v, want ≤100ms: the population stopped offering during the stall", got)
+	}
+	if co, svc := time.Duration(closed.Latency.Max), time.Duration(closed.ServiceLatency.Max); co < 900*time.Millisecond || co-svc > 50*time.Millisecond {
+		t.Fatalf("closed loop max latency CO %v vs service %v: want both ≈1s, the views coincide", co, svc)
+	}
+	if len(closed.Timeline) < 3 || !slow(closed.Timeline[1]) || closed.Timeline[1].Requests > 2*8 {
+		t.Fatalf("closed loop stall window = %+v, want a slow second holding only the population's requests", closed.Timeline)
+	}
+
+	open, err := run(context.Background(), Config{
+		Rate: 100, Duration: 3 * time.Second, Arrivals: uniform{}, MaxInflight: 8, MaxPending: 10_000,
+	}, &fakeSource{issue: stallScript(new(atomic.Int64)), walkLen: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(open.Timeline) < 3 || !slow(open.Timeline[1]) || open.Timeline[1].Requests < 90 {
+		t.Fatalf("open loop stall window = %+v, want ≈100 arrivals charged with the stall", open.Timeline)
+	}
+	if got := time.Duration(open.Timeline[1].P50Ns); got < 300*time.Millisecond {
+		t.Fatalf("open loop stall-window p50 = %v, want ≥300ms: most of its ~100 arrivals are slow", got)
 	}
 }

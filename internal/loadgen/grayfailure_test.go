@@ -3,7 +3,6 @@ package loadgen
 import (
 	"context"
 	"encoding/json"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -11,16 +10,15 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/httpkit"
 )
 
-// idemWorker builds a measuring worker with idempotent retries on.
-func idemWorker(t *testing.T, base string, pool *webuiPool) *worker {
+// idemWorker builds a session with idempotent retries on.
+func idemWorker(t *testing.T, base string, lb *httpkit.Balancer) *session {
 	t.Helper()
-	var measuring atomic.Bool
-	measuring.Store(true)
-	var errCount atomic.Int64
-	w, err := newWorker(Config{WebUIURL: base, ThinkScale: 0.01, CatalogUsers: 1, RetryIdempotent: true},
-		Catalog{CategoryIDs: []int64{1}, ProductIDs: []int64{1}}, pool, nil, 0, &measuring, &errCount)
+	w, err := newSession(Config{WebUIURL: base, ThinkScale: 0.01, CatalogUsers: 1, RetryIdempotent: true},
+		catalog{CategoryIDs: []int64{1}, ProductIDs: []int64{1}}, lb, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,23 +72,81 @@ func TestWorkerRetryRepicksReplica(t *testing.T) {
 	}))
 	defer registry.Close()
 
-	pool := newWebuiPool(registry.URL, bad.URL, false)
-	w := idemWorker(t, bad.URL, pool)
-	// Prime the pool's listing (first refresh is async).
-	rng := rand.New(rand.NewSource(1))
-	deadline := time.Now().Add(2 * time.Second)
-	for pool.pick(context.Background(), rng) != good.URL {
-		if time.Now().After(deadline) {
-			t.Fatal("pool never resolved the registry listing")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	lb := newWebuiBalancer(registry.URL, bad.URL, false)
+	w := idemWorker(t, bad.URL, lb)
 
 	if err := w.get(context.Background(), "/"); err != nil {
 		t.Fatalf("re-picked GET still reported error: %v", err)
 	}
 	if badCalls.Load() != 1 || goodCalls.Load() != 1 {
 		t.Fatalf("bad/good calls = %d/%d, want 1/1", badCalls.Load(), goodCalls.Load())
+	}
+}
+
+// TestRefusedConnectionDropsReplica: a replica that refuses connections
+// while the registry still lists it (drained a moment ago, or crashed
+// with its lease lingering) is dropped from the shared listing by the
+// first session that hits it, so that session's retry — and every other
+// session's next pick — lands on a live replica instead of drawing the
+// corpse again.
+func TestRefusedConnectionDropsReplica(t *testing.T) {
+	good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	defer good.Close()
+	dead := httptest.NewServer(nil)
+	dead.Close()
+	registry := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode([]string{
+			strings.TrimPrefix(dead.URL, "http://"), strings.TrimPrefix(good.URL, "http://")})
+	}))
+	defer registry.Close()
+
+	lb := newWebuiBalancer(registry.URL, dead.URL, false)
+	if _, err := lb.Stick(context.Background(), webuiService, ""); err != nil { // resolve the listing, as minting a session does
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		w := idemWorker(t, dead.URL, lb)
+		if err := w.get(context.Background(), "/"); err != nil {
+			t.Fatalf("session %d: GET failed despite a live replica: %v", i, err)
+		}
+		if w.idemRetried != 1 {
+			t.Fatalf("session %d: %d retries, want exactly 1 (the retry must not draw the dead replica)", i, w.idemRetried)
+		}
+	}
+	if base, err := lb.Stick(context.Background(), webuiService, dead.URL); err != nil || base != good.URL {
+		t.Fatalf("Stick(dead) = %q, %v; want the live replica %q", base, err, good.URL)
+	}
+}
+
+// TestSessionsSpreadAcrossListedReplicas: every minted session lands on a
+// fresh pick from the registry's listing, not on the configured WebUIURL
+// — which is itself a listed replica, so a session that merely stuck to
+// its default would pin the whole population to one replica and a
+// replica added at runtime would never see traffic.
+func TestSessionsSpreadAcrossListedReplicas(t *testing.T) {
+	listed := []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"}
+	registry := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(listed)
+	}))
+	defer registry.Close()
+
+	cfg := Config{WebUIURL: "http://" + listed[0], RegistryURL: registry.URL, Users: 1, Duration: time.Second}
+	if err := cfg.fill(); err != nil {
+		t.Fatal(err)
+	}
+	f := newSessionFactory(cfg, catalog{CategoryIDs: []int64{1}, ProductIDs: []int64{1}})
+	landed := map[string]int{}
+	for i := 0; i < 60; i++ {
+		s, err := f.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		landed[s.(*session).base]++
+	}
+	for _, addr := range listed {
+		if landed["http://"+addr] == 0 {
+			t.Fatalf("no session landed on %s: %v", addr, landed)
+		}
 	}
 }
 
@@ -185,54 +241,5 @@ func TestTimelineBucketsBySecond(t *testing.T) {
 	}
 	if ws[2].Requests != 1 || ws[2].P99() < 80*time.Millisecond {
 		t.Fatalf("window 2 = %+v, want 1 request at ≈80ms", ws[2])
-	}
-}
-
-// TestPoolEjectsSlowReplicaAndReadmits: the session pool steers picks
-// away from a replica whose EWMA stands far above its peers, keeps at
-// least one URL eligible, and re-admits after probation.
-func TestPoolEjectsSlowReplicaAndReadmits(t *testing.T) {
-	pool := newWebuiPool("http://unused.invalid", "http://fallback", true)
-	pool.urls = []string{"http://fast-a", "http://fast-b", "http://slow"}
-	pool.fetched = time.Now().Add(time.Hour) // keep the refresh loop out of this test
-
-	for i := 0; i < 20; i++ {
-		pool.observe("http://fast-a", 5*time.Millisecond, false)
-		pool.observe("http://fast-b", 5*time.Millisecond, false)
-		pool.observe("http://slow", 100*time.Millisecond, false)
-	}
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 100; i++ {
-		if got := pool.pick(context.Background(), rng); got == "http://slow" {
-			t.Fatalf("pick %d returned the ejected slow replica", i)
-		}
-	}
-
-	// Probation lapses: the replica is pickable again with fresh stats.
-	pool.mu.Lock()
-	pool.replicas["http://slow"].ejectedUntil = time.Now().Add(-time.Millisecond)
-	pool.mu.Unlock()
-	seen := false
-	for i := 0; i < 200 && !seen; i++ {
-		seen = pool.pick(context.Background(), rng) == "http://slow"
-	}
-	if !seen {
-		t.Fatal("slow replica never re-admitted after probation")
-	}
-
-	// Pool-wide slowness ejects nobody: every replica stays eligible.
-	pool2 := newWebuiPool("http://unused.invalid", "http://fallback", true)
-	pool2.urls = []string{"http://a", "http://b"}
-	pool2.fetched = time.Now().Add(time.Hour)
-	for i := 0; i < 20; i++ {
-		pool2.observe("http://a", 100*time.Millisecond, false)
-		pool2.observe("http://b", 100*time.Millisecond, false)
-	}
-	got := map[string]bool{}
-	for i := 0; i < 100; i++ {
-		got[pool2.pick(context.Background(), rng)] = true
-	}
-	if !got["http://a"] || !got["http://b"] {
-		t.Fatalf("uniformly slow pool lost replicas from rotation: %v", got)
 	}
 }

@@ -1,90 +1,174 @@
 // Package loadgen drives a running TeaStore over real HTTP with the same
-// closed-loop user-behaviour model the simulator uses: each simulated user
-// keeps a cookie session, walks the workload profile's Markov chain, and
-// thinks between requests. It reports throughput and per-request-type
-// latency distributions.
+// user-behaviour model the simulator uses: each virtual session keeps a
+// cookie jar, walks the workload profile's Markov chain, and thinks
+// between requests. One engine paces every run; what differs between a
+// closed and an open loop is only the arrival policy.
+//
+//   - Closed (Config.Users): a fixed population. A session's next arrival
+//     is its own previous completion plus a think time, so a slow stack
+//     slows the offered load with it — the paper's LIMBO driver. Nothing
+//     is ever dropped, and a session whose walk ends is replaced by a
+//     fresh one.
+//   - Open (Config.Rate): arrivals are scheduled on a global timeline,
+//     RateShape × ArrivalProcess, independent of how fast the stack
+//     answers; each is carried by any ready session or a freshly minted
+//     one, and an arrival that finds the connection pool full is counted
+//     dropped, never skipped.
+//
+// Either way latency is recorded from the arrival's *intended* instant
+// (coordinated-omission-safe) next to the service time from dispatch, and
+// every intended arrival is accounted for: Offered = Served + Errors +
+// Dropped. Under the closed policy the intended instant is the session's
+// own ready time, so the two latency views coincide — which is exactly
+// the queueing delay a closed loop cannot see.
 package loadgen
 
 import (
 	"context"
 	"fmt"
-	"io"
-	"math"
-	"math/rand"
-	"net/http"
-	"net/http/cookiejar"
-	"net/url"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/db"
-	"repro/internal/httpkit"
 	"repro/internal/metrics"
 	"repro/internal/services/persistence"
 	"repro/internal/workload"
 )
 
-// Config parameterizes a load run.
+// Config parameterizes a load run. Pacing is Users (closed loop) xor Rate
+// with Shape and Arrivals (open loop).
 type Config struct {
 	// WebUIURL is the storefront base URL.
 	WebUIURL string
 	// PersistenceURL is used once at start-up to discover the catalog.
 	PersistenceURL string
-	// RegistryURL, when set, lets workers spread sessions across every
-	// live webui replica: each new session picks a random replica from the
-	// registry's current listing (refreshed about once a second), so webui
-	// replicas started at runtime receive traffic without a restart. When
-	// empty — or whenever the registry is unreachable or lists no webui —
-	// all sessions go to WebUIURL.
+	// RegistryURL, when set, spreads sessions across every live webui
+	// replica — including ones the autoscaler starts mid-run — through an
+	// httpkit.Balancer over the registry's listing. When empty, or
+	// whenever the registry is unreachable or lists no webui, all
+	// sessions go to WebUIURL.
 	RegistryURL string
 	// Profile is the behaviour model; nil means workload.Browse().
 	Profile *workload.Profile
 	// Users is the closed-loop population.
 	Users int
-	// Warmup and Duration split the run; only Duration is measured.
+	// Rate is the open-loop mean offered rate in arrivals/second. Every
+	// shape integrates to 1, so Rate is the run's true mean whatever the
+	// shape.
+	Rate float64
+	// Shape is the open loop's deterministic rate trajectory (nil →
+	// steady); Arrivals its stochastic texture (nil → poisson).
+	Shape    RateShape
+	Arrivals ArrivalProcess
+	// Warmup runs unmeasured (an open loop warms up at the shape's
+	// starting rate); only Duration is measured.
 	Warmup   time.Duration
 	Duration time.Duration
+	// MaxInflight caps concurrently outstanding open-loop requests — the
+	// engine's connection pool (0 → 128). It does NOT bound offered load;
+	// arrivals beyond it queue in the pending buffer. A closed loop has
+	// exactly one connection per user.
+	MaxInflight int
+	// MaxPending bounds open-loop arrivals waiting for a free connection
+	// (0 → 4×MaxInflight). An arrival that finds the buffer full is
+	// counted dropped — never silently skipped: silent skips are
+	// coordinated omission re-imported through the back door.
+	MaxPending int
+	// MaxSessions caps the open loop's virtual-session pool (0 →
+	// 200_000). Sessions are created lazily as arrivals need them, so the
+	// pool grows to roughly rate × (think + response time) — far more
+	// sessions than inflight requests, as with real user populations.
+	MaxSessions int
 	// ThinkScale multiplies think times (use ~0.01 in tests); 0 means 1.
 	ThinkScale float64
 	// CatalogUsers is how many demo accounts exist (db.GenerateSpec.Users).
 	CatalogUsers int
 	Seed         int64
-	// Timeline records a per-second window breakdown of the measured run
-	// (Result.Timeline) — what the gameday harness gates recovery time on.
-	Timeline bool
 	// RetryIdempotent re-issues failed GETs (transport errors and 5xx) up
-	// to twice, re-picking the webui replica when a registry pool is
-	// available — the client-side defense that turns a gray replica's
-	// failures into latency instead of errors. POSTs are never retried,
-	// with one exception: checkout carries a client order ID that makes
-	// the submission idempotent end-to-end, so a failed checkout is
-	// re-issued on the same key and can never double-place.
+	// to twice, re-picking the webui replica when RegistryURL is set —
+	// the client-side defense that turns a gray replica's failures into
+	// latency instead of errors. POSTs are never retried, with one
+	// exception: checkout carries a client order ID that makes the
+	// submission idempotent end-to-end, so a failed checkout is re-issued
+	// on the same key and can never double-place.
 	RetryIdempotent bool
-	// EjectOutliers makes the webui session pool avoid replicas whose
-	// response-time EWMA stands far above their peers', re-admitting them
-	// after a probation. Needs RegistryURL.
+	// EjectOutliers turns on the session balancer's outlier ejection:
+	// sessions move off webui replicas whose response-time EWMA stands
+	// far above their peers', and return after a probation. Needs
+	// RegistryURL.
 	EjectOutliers bool
+}
+
+func (cfg *Config) fill() error {
+	switch {
+	case cfg.Users > 0 && cfg.Rate > 0:
+		return fmt.Errorf("loadgen: Users (closed loop) and Rate (open loop) are mutually exclusive")
+	case cfg.Users <= 0 && cfg.Rate <= 0:
+		return fmt.Errorf("loadgen: Users or Rate must be positive")
+	case cfg.Duration <= 0:
+		return fmt.Errorf("loadgen: Duration must be positive")
+	}
+	if cfg.Profile == nil {
+		cfg.Profile = workload.Browse()
+	}
+	if err := cfg.Profile.Validate(); err != nil {
+		return err
+	}
+	if cfg.ThinkScale <= 0 {
+		cfg.ThinkScale = 1
+	}
+	if cfg.CatalogUsers <= 0 {
+		cfg.CatalogUsers = db.DefaultGenerateSpec().Users
+	}
+	if cfg.Users > 0 {
+		// One connection per user, and room for all of them to queue:
+		// the closed policy can then never drop.
+		cfg.MaxInflight, cfg.MaxPending = cfg.Users, cfg.Users
+		return nil
+	}
+	if cfg.Shape == nil {
+		cfg.Shape = steadyShape{}
+	}
+	if cfg.Arrivals == nil {
+		cfg.Arrivals = poisson{}
+	}
+	if cfg.MaxInflight <= 0 {
+		cfg.MaxInflight = 128
+	}
+	if cfg.MaxPending <= 0 {
+		cfg.MaxPending = 4 * cfg.MaxInflight
+	}
+	if cfg.MaxSessions <= 0 {
+		cfg.MaxSessions = 200_000
+	}
+	return nil
 }
 
 // Result is a load run's measurements.
 type Result struct {
-	// Throughput is measured completed requests per second.
-	Throughput float64
-	// Latency summarizes all requests.
-	Latency metrics.Snapshot
-	// PerRequest breaks latency down by request type.
-	PerRequest map[workload.Request]metrics.Snapshot
-	// Requests and Errors count measured operations.
-	Requests int64
-	Errors   int64
+	// Shape and Arrivals label an open-loop run's schedule (empty for a
+	// closed loop); ProfileName the behaviour model.
+	Shape       string
+	Arrivals    string
+	ProfileName string
+
+	// OfferedRate is intended arrivals per measured second; AchievedRate
+	// is successful completions per measured second — the run's
+	// throughput. Under the open policy the gap between them is the
+	// run's verdict on the stack; a closed loop offers only what it can
+	// be served.
+	OfferedRate  float64
+	AchievedRate float64
+
+	// Offered = Served + Errors + Dropped: every intended arrival is
+	// accounted for, by construction. Dropped is always 0 closed-loop.
+	Offered int64
+	Served  int64
+	Errors  int64
+	Dropped int64
 	// Shed counts 503-with-Retry-After answers — the server declining
-	// work under load shedding, distinct from real failures.
-	Shed int64
-	// Retries counts re-issues after honouring a Retry-After backoff.
+	// work under load shedding, distinct from real failures; Retries the
+	// re-issues after honouring their backoff.
+	Shed    int64
 	Retries int64
 	// IdempotentRetries counts GET re-issues after failures
 	// (Config.RetryIdempotent); IdempotentFailures counts GETs that still
@@ -97,701 +181,75 @@ type Result struct {
 	// safe because every checkout carries a client order ID the
 	// persistence plane dedupes on (Config.RetryIdempotent).
 	CheckoutRetries int64
-	// MeasureStart anchors Timeline in wall-clock time.
+
+	// SessionsCreated counts virtual sessions minted across the whole run
+	// (warmup included); PeakInflight the most requests ever outstanding
+	// at once. A healthy open loop keeps sessions ≫ inflight; a closed
+	// loop mints its population plus one session per ended walk.
+	SessionsCreated int64
+	PeakInflight    int64
+
+	// Latency is the CO-safe distribution (completion − intended arrival)
+	// over successful requests; ServiceLatency is completion − dispatch.
+	// Under the open policy their divergence *is* coordinated omission,
+	// made visible; under the closed policy they coincide.
+	Latency        metrics.Snapshot
+	ServiceLatency metrics.Snapshot
+
+	// PerRequest breaks CO-safe latency down by request type.
+	PerRequest map[workload.Request]metrics.Snapshot
+
+	// MeasureStart anchors Timeline; Timeline is the per-second view of
+	// the measured run, bucketed by intended arrival second, trailing
+	// partial window dropped.
 	MeasureStart time.Time
-	// Timeline is the per-second view of the measured run
-	// (Config.Timeline), bucketed by request-start second; the trailing
-	// partial window is dropped.
-	Timeline []Window
+	Timeline     []Window
 }
 
-// Catalog is the discovered store shape, shared with the open-loop
-// engine (internal/openloop) so both drivers issue against the same IDs.
-type Catalog struct {
-	CategoryIDs []int64
-	ProductIDs  []int64
-}
-
-// DiscoverCatalog fetches the catalog shape from the persistence service.
-func DiscoverCatalog(ctx context.Context, persistenceURL string) (Catalog, error) {
-	return discover(ctx, persistenceURL)
-}
-
-// Run executes the configured load and gathers results.
+// Run executes the configured load against a live stack.
 func Run(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.WebUIURL == "" || cfg.PersistenceURL == "" {
 		return Result{}, fmt.Errorf("loadgen: WebUIURL and PersistenceURL are required")
 	}
-	if cfg.Users <= 0 {
-		return Result{}, fmt.Errorf("loadgen: Users must be positive")
-	}
-	if cfg.Duration <= 0 {
-		return Result{}, fmt.Errorf("loadgen: Duration must be positive")
-	}
-	if cfg.Profile == nil {
-		cfg.Profile = workload.Browse()
-	}
-	if err := cfg.Profile.Validate(); err != nil {
+	if err := cfg.fill(); err != nil {
 		return Result{}, err
 	}
-	if cfg.ThinkScale <= 0 {
-		cfg.ThinkScale = 1
-	}
-	if cfg.CatalogUsers <= 0 {
-		cfg.CatalogUsers = db.DefaultGenerateSpec().Users
-	}
-
 	cat, err := discover(ctx, cfg.PersistenceURL)
 	if err != nil {
 		return Result{}, err
 	}
-	var pool *webuiPool
-	if cfg.RegistryURL != "" {
-		pool = newWebuiPool(cfg.RegistryURL, cfg.WebUIURL, cfg.EjectOutliers)
-	}
-	var tl *timeline
-	if cfg.Timeline {
-		tl = &timeline{}
-	}
+	return run(ctx, cfg, newSessionFactory(cfg, cat))
+}
 
-	var measuring atomic.Bool
-	var errCount atomic.Int64
-	workers := make([]*worker, cfg.Users)
-	var wg sync.WaitGroup
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	for i := range workers {
-		w, err := newWorker(cfg, cat, pool, tl, int64(i), &measuring, &errCount)
-		if err != nil {
-			return Result{}, err
-		}
-		workers[i] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.run(runCtx)
-		}()
-	}
-
-	// Warmup, then measure.
-	select {
-	case <-time.After(cfg.Warmup):
-	case <-ctx.Done():
-		cancel()
-		wg.Wait()
-		return Result{}, ctx.Err()
-	}
-	start := time.Now()
-	if tl != nil {
-		tl.begin(start)
-	}
-	measuring.Store(true)
-	select {
-	case <-time.After(cfg.Duration):
-	case <-ctx.Done():
-	}
-	measuring.Store(false)
-	elapsed := time.Since(start)
-	tl.finish(start.Add(elapsed))
-	cancel()
-	wg.Wait()
-
-	// Merge worker histograms.
-	res := Result{PerRequest: map[workload.Request]metrics.Snapshot{}}
-	var all metrics.Histogram
-	var byReq [workload.NumRequests]metrics.Histogram
-	for _, w := range workers {
-		all.Merge(&w.all)
-		for r := range w.byReq {
-			byReq[r].Merge(&w.byReq[r])
-		}
-	}
-	res.Latency = all.Snapshot()
-	res.Requests = all.Count()
-	res.Errors = errCount.Load()
-	for _, w := range workers {
-		res.Shed += w.shed
-		res.Retries += w.retried
-		res.IdempotentRetries += w.idemRetried
-		res.IdempotentFailures += w.idemFailed
-		res.CheckoutRetries += w.checkoutRetried
-	}
-	res.MeasureStart = start
-	res.Timeline = tl.windows()
-	res.Throughput = float64(all.Count()) / elapsed.Seconds()
-	for r := range byReq {
-		if byReq[r].Count() > 0 {
-			res.PerRequest[workload.Request(r)] = byReq[r].Snapshot()
-		}
-	}
-	return res, nil
+// catalog is the discovered store shape sessions issue against.
+type catalog struct {
+	CategoryIDs []int64
+	ProductIDs  []int64
 }
 
 // discover fetches the catalog shape from persistence.
-func discover(ctx context.Context, persistenceURL string) (Catalog, error) {
+func discover(ctx context.Context, persistenceURL string) (catalog, error) {
 	client := persistence.NewClient(persistenceURL, nil)
 	cats, err := client.Categories(ctx)
 	if err != nil {
-		return Catalog{}, fmt.Errorf("loadgen: discovering catalog: %w", err)
+		return catalog{}, fmt.Errorf("loadgen: discovering catalog: %w", err)
 	}
 	if len(cats) == 0 {
-		return Catalog{}, fmt.Errorf("loadgen: store has no categories — generate the catalog first")
+		return catalog{}, fmt.Errorf("loadgen: store has no categories — generate the catalog first")
 	}
-	var out Catalog
+	var out catalog
 	for _, c := range cats {
 		out.CategoryIDs = append(out.CategoryIDs, c.ID)
 		page, err := client.Products(ctx, c.ID, 0, 50)
 		if err != nil {
-			return Catalog{}, err
+			return catalog{}, err
 		}
 		for _, p := range page.Products {
 			out.ProductIDs = append(out.ProductIDs, p.ID)
 		}
 	}
 	if len(out.ProductIDs) == 0 {
-		return Catalog{}, fmt.Errorf("loadgen: store has no products")
+		return catalog{}, fmt.Errorf("loadgen: store has no products")
 	}
 	return out, nil
-}
-
-// webuiPool resolves live webui replicas through the registry so sessions
-// spread across replicas added at runtime. The listing is cached briefly
-// and shared by every worker; a failed or empty refresh falls back to the
-// configured WebUIURL so a registry outage degrades to single-URL load
-// rather than stopping the run. Refreshes run in the background — an
-// expired cache serves the stale list instead of making every worker
-// queue behind one registry round-trip (or, during a registry outage, a
-// 2s timeout).
-//
-// With ejection on, the pool also tracks a response-time EWMA per
-// replica and steers new sessions away from replicas standing far above
-// their peers' median, re-admitting them after a probation — the
-// open-loop client's analogue of the in-stack balancer's outlier
-// ejection.
-type webuiPool struct {
-	registryURL string
-	fallback    string
-	client      *httpkit.Client
-	ttl         time.Duration
-	eject       bool
-
-	mu         sync.Mutex
-	urls       []string
-	fetched    time.Time
-	refreshing bool
-	replicas   map[string]*poolReplica
-}
-
-// poolReplica is one webui replica's health view inside the pool.
-type poolReplica struct {
-	samples      int64
-	ewma         float64
-	ejectedUntil time.Time
-}
-
-const (
-	// poolMinSamples gates judging a replica on fresh evidence.
-	poolMinSamples = 10
-	// poolLatencyFactor is the peer-median multiple at which a replica is
-	// avoided.
-	poolLatencyFactor = 3.0
-	// poolMinExcess is the absolute EWMA excess over the peer median an
-	// ejection additionally requires — a fast pool's noise (2ms vs 7ms)
-	// clears any ratio, so an outlier must also stand out in wall time.
-	poolMinExcess = float64(50 * time.Millisecond)
-	// poolProbation is how long an avoided replica sits out before fresh
-	// traffic may re-admit it.
-	poolProbation = 5 * time.Second
-	// poolFailurePenalty is the latency a failed request is accounted as,
-	// so a replica answering errors quickly still looks unhealthy.
-	poolFailurePenalty = float64(time.Second)
-)
-
-func newWebuiPool(registryURL, fallback string, eject bool) *webuiPool {
-	return &webuiPool{
-		registryURL: registryURL,
-		fallback:    fallback,
-		client:      httpkit.NewClient(2*time.Second, httpkit.WithoutRetries(), httpkit.WithoutBreakers()),
-		ttl:         time.Second,
-		eject:       eject,
-		replicas:    map[string]*poolReplica{},
-	}
-}
-
-// pick returns the webui base URL for one session — a uniformly random
-// live (and, with ejection on, currently-admissible) replica. Cookie
-// jars are keyed by domain, so a user whose next session lands on a
-// different replica keeps their login.
-func (p *webuiPool) pick(ctx context.Context, rng *rand.Rand) string {
-	now := time.Now()
-	p.mu.Lock()
-	if now.Sub(p.fetched) >= p.ttl && !p.refreshing {
-		p.refreshing = true
-		go p.refresh()
-	}
-	urls := p.eligible(now)
-	var out string
-	if len(urls) == 0 {
-		out = p.fallback
-	} else {
-		out = urls[rng.Intn(len(urls))]
-	}
-	p.mu.Unlock()
-	return out
-}
-
-// refresh re-resolves the replica listing once, in the background.
-func (p *webuiPool) refresh() {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	var addrs []string
-	err := p.client.GetJSON(ctx, p.registryURL+"/services/webui", &addrs)
-	p.mu.Lock()
-	if err == nil {
-		p.urls = p.urls[:0]
-		for _, a := range addrs {
-			p.urls = append(p.urls, "http://"+a)
-		}
-	}
-	p.fetched = time.Now()
-	p.refreshing = false
-	p.mu.Unlock()
-}
-
-// observe feeds one request's outcome into the replica's EWMA. Failures
-// are charged a latency penalty so fast errors count against a replica
-// as much as slow answers.
-func (p *webuiPool) observe(base string, lat time.Duration, failed bool) {
-	if p == nil || !p.eject {
-		return
-	}
-	v := float64(lat)
-	if failed && v < poolFailurePenalty {
-		v = poolFailurePenalty
-	}
-	p.mu.Lock()
-	r := p.replicas[base]
-	if r == nil {
-		r = &poolReplica{}
-		p.replicas[base] = r
-	}
-	r.samples++
-	a := 0.1
-	if warm := 1 / float64(r.samples); warm > a {
-		a = warm
-	}
-	r.ewma += (v - r.ewma) * a
-	p.mu.Unlock()
-}
-
-// eligible returns the replicas sessions may land on: with ejection on,
-// replicas whose EWMA stands above poolLatencyFactor× the leave-one-out
-// median of their peers sit out a probation (their stats reset, so
-// re-admission demands fresh evidence). The whole pool is never ejected.
-// Caller holds p.mu.
-func (p *webuiPool) eligible(now time.Time) []string {
-	if !p.eject || len(p.urls) < 2 {
-		return p.urls
-	}
-	var judged []string
-	for _, u := range p.urls {
-		if r := p.replicas[u]; r != nil && now.After(r.ejectedUntil) && r.samples >= poolMinSamples {
-			judged = append(judged, u)
-		}
-	}
-	if len(judged) >= 2 {
-		for _, u := range judged {
-			peers := make([]float64, 0, len(judged)-1)
-			for _, o := range judged {
-				if o != u {
-					peers = append(peers, p.replicas[o].ewma)
-				}
-			}
-			base := poolMedian(peers)
-			r := p.replicas[u]
-			if base > 0 && r.ewma > poolLatencyFactor*base && r.ewma-base > poolMinExcess {
-				r.ejectedUntil = now.Add(poolProbation)
-				r.samples, r.ewma = 0, 0
-			}
-		}
-	}
-	kept := make([]string, 0, len(p.urls))
-	for _, u := range p.urls {
-		if r := p.replicas[u]; r == nil || !now.Before(r.ejectedUntil) {
-			kept = append(kept, u)
-		}
-	}
-	if len(kept) == 0 {
-		return p.urls
-	}
-	return kept
-}
-
-// admissible reports whether sessions may keep using base: false once
-// the replica has been ejected or dropped from the live listing, so a
-// worker mid-session re-picks instead of riding a sick replica until its
-// session ends — under a gray failure the sick replica's slow responses
-// stretch exactly those sessions the longest. Safe mid-session: cookie
-// jars key by host and the replicas differ only by port, so the login
-// survives the move.
-func (p *webuiPool) admissible(base string) bool {
-	if p == nil {
-		return true
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.urls) == 0 {
-		return true // nothing to re-pick onto
-	}
-	listed := false
-	for _, u := range p.urls {
-		if u == base {
-			listed = true
-			break
-		}
-	}
-	if !listed {
-		return false
-	}
-	if !p.eject {
-		return true
-	}
-	r := p.replicas[base]
-	return r == nil || !time.Now().Before(r.ejectedUntil)
-}
-
-// poolMedian of a small unsorted slice (sorts its argument).
-func poolMedian(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
-}
-
-// worker is one closed-loop user.
-type worker struct {
-	cfg       Config
-	cat       Catalog
-	pool      *webuiPool
-	tl        *timeline
-	base      string
-	rng       *rand.Rand
-	http      *http.Client
-	measuring *atomic.Bool
-	errCount  *atomic.Int64
-
-	all   metrics.Histogram
-	byReq [workload.NumRequests]metrics.Histogram
-	// shed, retried, idemRetried, idemFailed, and checkoutRetried are
-	// written by this worker's goroutine only and read after the run's
-	// WaitGroup barrier.
-	shed            int64
-	retried         int64
-	idemRetried     int64
-	idemFailed      int64
-	checkoutRetried int64
-
-	lastProduct int64
-	userIdx     int
-}
-
-func newWorker(cfg Config, cat Catalog, pool *webuiPool, tl *timeline, id int64, measuring *atomic.Bool, errCount *atomic.Int64) (*worker, error) {
-	jar, err := cookiejar.New(nil)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + id))
-	return &worker{
-		cfg: cfg, cat: cat, pool: pool, tl: tl, base: cfg.WebUIURL, rng: rng,
-		http:      &http.Client{Jar: jar, Timeout: 30 * time.Second},
-		measuring: measuring, errCount: errCount,
-		userIdx: int(id) % cfg.CatalogUsers,
-	}, nil
-}
-
-// run loops sessions until the context ends.
-func (w *worker) run(ctx context.Context) {
-	// Stagger start across one think time.
-	if !w.sleep(ctx, w.think()) {
-		return
-	}
-	for {
-		if w.pool != nil {
-			w.base = w.pool.pick(ctx, w.rng)
-		}
-		walker := workload.NewWalker(w.cfg.Profile, w.rng)
-		for {
-			req, ok := walker.Next()
-			if !ok {
-				break
-			}
-			if ctx.Err() != nil {
-				return
-			}
-			if w.pool != nil && !w.pool.admissible(w.base) {
-				w.base = w.pool.pick(ctx, w.rng)
-			}
-			start := time.Now()
-			err := w.issue(ctx, req)
-			done := time.Now()
-			lat := done.Sub(start)
-			w.pool.observe(w.base, lat, err != nil)
-			if w.measuring.Load() {
-				if err != nil {
-					w.errCount.Add(1)
-					if isIdempotent(req) {
-						w.idemFailed++
-					}
-				} else {
-					w.all.Record(lat.Nanoseconds())
-					w.byReq[req].Record(lat.Nanoseconds())
-				}
-				w.tl.record(start, lat.Nanoseconds(), err != nil)
-			}
-			if !w.sleep(ctx, w.think()) {
-				return
-			}
-		}
-	}
-}
-
-func (w *worker) think() time.Duration {
-	median := float64(w.cfg.Profile.ThinkMedian) * w.cfg.ThinkScale
-	// Lognormal with the profile's sigma.
-	d := time.Duration(median * expApprox(w.rng.NormFloat64()*w.cfg.Profile.ThinkSigma))
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-// expApprox is math.Exp with the tails clamped so a single draw can never
-// produce a multi-minute think time.
-func expApprox(x float64) float64 {
-	if x > 4 {
-		x = 4
-	}
-	if x < -4 {
-		x = -4
-	}
-	return math.Exp(x)
-}
-
-func (w *worker) sleep(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	select {
-	case <-time.After(d):
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// issue maps one workload request onto HTTP.
-func (w *worker) issue(ctx context.Context, req workload.Request) error {
-	switch req {
-	case workload.ReqHome:
-		return w.get(ctx, "/")
-	case workload.ReqLogin:
-		return w.postForm(ctx, "/login", url.Values{
-			"email":    {db.EmailFor(w.userIdx)},
-			"password": {db.PasswordFor(w.userIdx)},
-		})
-	case workload.ReqCategory:
-		id := w.cat.CategoryIDs[w.rng.Intn(len(w.cat.CategoryIDs))]
-		page := w.rng.Intn(3)
-		return w.get(ctx, fmt.Sprintf("/category/%d?page=%d", id, page))
-	case workload.ReqProduct:
-		w.lastProduct = w.cat.ProductIDs[w.rng.Intn(len(w.cat.ProductIDs))]
-		return w.get(ctx, fmt.Sprintf("/product/%d", w.lastProduct))
-	case workload.ReqAddToCart:
-		id := w.lastProduct
-		if id == 0 {
-			id = w.cat.ProductIDs[w.rng.Intn(len(w.cat.ProductIDs))]
-		}
-		return w.postForm(ctx, "/cart/add", url.Values{"productId": {strconv.FormatInt(id, 10)}})
-	case workload.ReqViewCart:
-		return w.get(ctx, "/cart")
-	case workload.ReqCheckout:
-		// A fresh client order ID per logical checkout makes the POST
-		// replayable end-to-end: retries of this submission land on the
-		// same idempotency key and can never double-place.
-		return w.postKeyedForm(ctx, "/cart/checkout",
-			url.Values{"clientOrderId": {persistence.NewOrderKey()}})
-	case workload.ReqProfile:
-		return w.get(ctx, "/profile")
-	case workload.ReqLogout:
-		return w.get(ctx, "/logout")
-	default:
-		return fmt.Errorf("loadgen: unmapped request %v", req)
-	}
-}
-
-func (w *worker) get(ctx context.Context, path string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+path, nil)
-	if err != nil {
-		return err
-	}
-	return w.do(req)
-}
-
-func (w *worker) postForm(ctx context.Context, path string, form url.Values) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path,
-		strings.NewReader(form.Encode()))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	return w.do(req)
-}
-
-// keyedPostCtx marks a POST whose payload carries an idempotency key, so
-// retryIdempotent may replay it: the server dedupes on the key instead of
-// double-placing. POSTs without the marker get exactly one attempt.
-type keyedPostCtx struct{}
-
-// postKeyedForm posts a form that carries its own idempotency key.
-func (w *worker) postKeyedForm(ctx context.Context, path string, form url.Values) error {
-	return w.postForm(context.WithValue(ctx, keyedPostCtx{}, true), path, form)
-}
-
-// maxShedRetries bounds how many Retry-After backoffs one request honours
-// before the shed counts as a failure.
-const maxShedRetries = 2
-
-// maxIdempotentRetries bounds GET re-issues after real failures
-// (Config.RetryIdempotent).
-const maxIdempotentRetries = 2
-
-// maxRetryAfter caps the honoured backoff so a hostile or buggy header
-// cannot park a worker for minutes.
-const maxRetryAfter = 5 * time.Second
-
-func (w *worker) do(req *http.Request) error {
-	idemTries := 0
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 && req.GetBody != nil {
-			body, err := req.GetBody()
-			if err != nil {
-				return err
-			}
-			req.Body = body
-		}
-		resp, err := w.http.Do(req)
-		if err != nil {
-			if w.retryIdempotent(req, &idemTries) {
-				continue
-			}
-			return err
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		// A 503 carrying Retry-After is the server shedding load, not
-		// failing: honour the backoff and re-issue instead of counting a
-		// generic error. A request whose body cannot be replayed
-		// (Body set but no GetBody) must not be re-issued — the first
-		// attempt already consumed it and the retry would send an empty
-		// payload — so it falls through to the generic 5xx error below.
-		replayable := req.Body == nil || req.GetBody != nil
-		if resp.StatusCode == http.StatusServiceUnavailable && replayable {
-			if d, ok := parseRetryAfter(resp.Header.Get("Retry-After")); ok && attempt < maxShedRetries {
-				if w.measuring.Load() {
-					w.shed++
-					w.tl.recordShed(time.Now())
-				}
-				if !w.sleep(req.Context(), d) {
-					return req.Context().Err()
-				}
-				if w.measuring.Load() {
-					w.retried++
-				}
-				continue
-			}
-		}
-		// 401 on login-after-expiry etc. counts as an application response,
-		// not a load error; 5xx and transport failures are errors.
-		if resp.StatusCode >= 500 {
-			if w.retryIdempotent(req, &idemTries) {
-				continue
-			}
-			return fmt.Errorf("loadgen: %s %s → %d", req.Method, req.URL.Path, resp.StatusCode)
-		}
-		return nil
-	}
-}
-
-// retryIdempotent decides whether a failed request gets another go:
-// GETs, plus POSTs marked keyed (the idempotency key in the payload
-// makes the replay dedupe server-side instead of double-placing).
-// Bounded tries, and — when a registry pool is available — re-picked
-// onto a different base URL, because the point of the retry is landing
-// somewhere healthier than where the failure came from.
-func (w *worker) retryIdempotent(req *http.Request, tries *int) bool {
-	if !w.cfg.RetryIdempotent {
-		return false
-	}
-	keyed, _ := req.Context().Value(keyedPostCtx{}).(bool)
-	keyed = keyed && req.GetBody != nil
-	if req.Method != http.MethodGet && !keyed {
-		return false
-	}
-	if *tries >= maxIdempotentRetries || req.Context().Err() != nil {
-		return false
-	}
-	*tries++
-	if w.measuring.Load() {
-		if keyed {
-			w.checkoutRetried++
-		} else {
-			w.idemRetried++
-		}
-	}
-	if !w.sleep(req.Context(), time.Duration(*tries)*5*time.Millisecond) {
-		return false
-	}
-	if w.pool != nil {
-		if u, err := url.Parse(w.pool.pick(req.Context(), w.rng)); err == nil && u.Host != "" {
-			req.URL.Scheme = u.Scheme
-			req.URL.Host = u.Host
-			req.Host = ""
-		}
-	}
-	return true
-}
-
-// isIdempotent reports whether a workload request maps to a safe GET —
-// the ones a defended run must never fail.
-func isIdempotent(r workload.Request) bool {
-	switch r {
-	case workload.ReqLogin, workload.ReqAddToCart, workload.ReqCheckout:
-		return false
-	}
-	return true
-}
-
-// parseRetryAfter reads a delay-seconds Retry-After value (fractional
-// seconds accepted), capped at maxRetryAfter. HTTP-date forms and absent
-// headers report false.
-func parseRetryAfter(v string) (time.Duration, bool) {
-	if v == "" {
-		return 0, false
-	}
-	secs, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-	if err != nil || secs < 0 {
-		return 0, false
-	}
-	d := time.Duration(secs * float64(time.Second))
-	if d > maxRetryAfter {
-		d = maxRetryAfter
-	}
-	return d, true
 }

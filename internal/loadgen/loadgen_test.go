@@ -47,11 +47,11 @@ func TestRunAgainstRealStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Requests == 0 || res.Throughput <= 0 {
+	if res.Served == 0 || res.AchievedRate <= 0 {
 		t.Fatalf("no load delivered: %+v", res)
 	}
-	if res.Errors > res.Requests/10 {
-		t.Fatalf("error rate too high: %d errors of %d requests", res.Errors, res.Requests)
+	if res.Errors > res.Served/10 {
+		t.Fatalf("error rate too high: %d errors of %d requests", res.Errors, res.Served)
 	}
 	if res.Latency.P99 < res.Latency.P50 {
 		t.Fatal("latency percentiles inverted")

@@ -1,4 +1,4 @@
-package openloop
+package loadgen
 
 import (
 	"math/rand"

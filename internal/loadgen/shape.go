@@ -1,4 +1,4 @@
-package openloop
+package loadgen
 
 import (
 	"bufio"
@@ -96,28 +96,28 @@ type traceShape struct {
 // non-decreasing, at least two points, some positive rate).
 func NewTraceShape(points []TracePoint) (RateShape, error) {
 	if len(points) < 2 {
-		return nil, fmt.Errorf("openloop: trace needs at least 2 points, got %d", len(points))
+		return nil, fmt.Errorf("loadgen: trace needs at least 2 points, got %d", len(points))
 	}
 	var integral float64
 	for i, p := range points {
 		if p.Rate < 0 {
-			return nil, fmt.Errorf("openloop: trace point %d has negative rate %v", i, p.Rate)
+			return nil, fmt.Errorf("loadgen: trace point %d has negative rate %v", i, p.Rate)
 		}
 		if i > 0 {
 			dt := p.Seconds - points[i-1].Seconds
 			if dt < 0 {
-				return nil, fmt.Errorf("openloop: trace offsets decrease at point %d", i)
+				return nil, fmt.Errorf("loadgen: trace offsets decrease at point %d", i)
 			}
 			integral += dt * (p.Rate + points[i-1].Rate) / 2
 		}
 	}
 	span := points[len(points)-1].Seconds - points[0].Seconds
 	if span <= 0 {
-		return nil, fmt.Errorf("openloop: trace spans zero time")
+		return nil, fmt.Errorf("loadgen: trace spans zero time")
 	}
 	mean := integral / span
 	if mean <= 0 {
-		return nil, fmt.Errorf("openloop: trace has zero mean rate")
+		return nil, fmt.Errorf("loadgen: trace has zero mean rate")
 	}
 	return &traceShape{points: points, mean: mean}, nil
 }
@@ -155,15 +155,15 @@ func ParseTrace(r io.Reader) ([]TracePoint, error) {
 		}
 		parts := strings.Split(text, ",")
 		if len(parts) != 2 {
-			return nil, fmt.Errorf("openloop: trace line %d: want \"seconds,rate\", got %q", line, text)
+			return nil, fmt.Errorf("loadgen: trace line %d: want \"seconds,rate\", got %q", line, text)
 		}
 		secs, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
 		if err != nil {
-			return nil, fmt.Errorf("openloop: trace line %d: bad offset: %w", line, err)
+			return nil, fmt.Errorf("loadgen: trace line %d: bad offset: %w", line, err)
 		}
 		rate, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
 		if err != nil {
-			return nil, fmt.Errorf("openloop: trace line %d: bad rate: %w", line, err)
+			return nil, fmt.Errorf("loadgen: trace line %d: bad rate: %w", line, err)
 		}
 		points = append(points, TracePoint{Seconds: secs, Rate: rate})
 	}
@@ -203,6 +203,6 @@ func NewShape(name string) (RateShape, error) {
 	case "ramp":
 		return rampShape{}, nil
 	default:
-		return nil, fmt.Errorf("openloop: unknown rate shape %q (valid: %v, or a trace file)", name, ShapeNames())
+		return nil, fmt.Errorf("loadgen: unknown rate shape %q (valid: %v, or a trace file)", name, ShapeNames())
 	}
 }

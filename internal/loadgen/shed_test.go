@@ -11,15 +11,11 @@ import (
 	"time"
 )
 
-// shedWorker builds a worker aimed at the given base URL with measurement
-// enabled.
-func shedWorker(t *testing.T, base string) *worker {
+// shedWorker builds a session aimed at the given base URL.
+func shedWorker(t *testing.T, base string) *session {
 	t.Helper()
-	var measuring atomic.Bool
-	measuring.Store(true)
-	var errCount atomic.Int64
-	w, err := newWorker(Config{WebUIURL: base, ThinkScale: 0.01, CatalogUsers: 1},
-		Catalog{CategoryIDs: []int64{1}, ProductIDs: []int64{1}}, nil, nil, 0, &measuring, &errCount)
+	w, err := newSession(Config{WebUIURL: base, ThinkScale: 0.01, CatalogUsers: 1},
+		catalog{CategoryIDs: []int64{1}, ProductIDs: []int64{1}}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +49,38 @@ func TestWorkerHonoursRetryAfter(t *testing.T) {
 	}
 	if w.shed != 1 || w.retried != 1 {
 		t.Fatalf("shed/retried = %d/%d, want 1/1", w.shed, w.retried)
+	}
+}
+
+// TestWorkerShedBudgetSurvivesIdempotentRetries: sheds and failures draw
+// on separate budgets. A GET answered 500, 500, then shed must still be
+// backed off and re-issued — the two idempotent retries it already spent
+// are not the shed budget — so it ends a success with one shed on the
+// books, not a failed idempotent request.
+func TestWorkerShedBudgetSurvivesIdempotentRetries(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch calls.Add(1) {
+		case 1, 2:
+			w.WriteHeader(http.StatusInternalServerError)
+		case 3:
+			w.Header().Set("Retry-After", "0.01")
+			w.WriteHeader(http.StatusServiceUnavailable)
+		default:
+			w.WriteHeader(http.StatusOK)
+		}
+	}))
+	defer srv.Close()
+
+	w := idemWorker(t, srv.URL, nil)
+	if err := w.get(context.Background(), "/"); err != nil {
+		t.Fatalf("shed after two retried failures reported error (an idempotent failure): %v", err)
+	}
+	if calls.Load() != 4 {
+		t.Fatalf("server saw %d calls, want 4", calls.Load())
+	}
+	if w.shed != 1 || w.retried != 1 || w.idemRetried != 2 {
+		t.Fatalf("shed/retried/idemRetried = %d/%d/%d, want 1/1/2", w.shed, w.retried, w.idemRetried)
 	}
 }
 

@@ -5,12 +5,11 @@ package loadgen
 // a fault injected mid-run and cleared before the end is invisible in
 // whole-run percentiles but obvious in the per-second windows.
 //
-// Windows bucket by request *start* second. A request that stalls for
-// two seconds is pain suffered by the window that issued it, not by the
-// window it happened to finish in — completion-time bucketing smeared a
-// stall forward onto innocent windows and credited the stalled window as
-// healthy. The open-loop engine reuses the same Window type with the
-// Offered and Dropped columns filled in.
+// Windows bucket by the second of the request's *intended arrival*. A
+// request that stalls for two seconds is pain suffered by the window that
+// wanted to issue it, not by the window it happened to finish in —
+// completion-time bucketing smeared a stall forward onto innocent windows
+// and credited the stalled window as healthy.
 
 import (
 	"sync"
@@ -29,11 +28,11 @@ type Window struct {
 	Requests int64 `json:"requests"`
 	Errors   int64 `json:"errors"`
 	Shed     int64 `json:"shed"`
-	// Offered counts intended arrivals scheduled into this window — the
-	// open-loop engine's demand axis. Closed-loop runs leave it zero
-	// (a closed loop has no arrival schedule independent of completions).
+	// Offered counts intended arrivals falling into this window — the
+	// demand axis. Under the closed policy demand is whatever the
+	// population managed to ask for, so it tracks Requests.
 	Offered int64 `json:"offered,omitempty"`
-	// Dropped counts intended arrivals the open-loop engine could not
+	// Dropped counts intended arrivals the open policy could not
 	// dispatch because its connection pool was exhausted. Never silently
 	// skipped: a drop is demand the stack did not even get to refuse.
 	Dropped int64 `json:"dropped,omitempty"`
@@ -49,7 +48,7 @@ func (w Window) P99() time.Duration { return time.Duration(w.P99Ns) }
 // P50 returns the window's p50 as a duration.
 func (w Window) P50() time.Duration { return time.Duration(w.P50Ns) }
 
-// timeline accumulates per-second histograms across all workers. One
+// timeline accumulates per-second histograms across all connections. One
 // mutex is plenty: a load run completes a few thousand requests per
 // second at most, far below contention territory.
 type timeline struct {
@@ -83,9 +82,6 @@ func (t *timeline) begin(at time.Time) {
 // into gating, skews the final-window p99 on every run whose duration
 // isn't an exact whole second.
 func (t *timeline) finish(at time.Time) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	t.end = at
 	t.mu.Unlock()
@@ -110,9 +106,6 @@ func (t *timeline) slot(at time.Time) *timeslot {
 // record files one completed request into the window of its *start*
 // time. Failed requests count but contribute no latency sample.
 func (t *timeline) record(startedAt time.Time, latNs int64, failed bool) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	if s := t.slot(startedAt); s != nil {
 		if failed {
@@ -126,9 +119,6 @@ func (t *timeline) record(startedAt time.Time, latNs int64, failed bool) {
 
 // recordShed files one load-shed (503 + Retry-After) into at's window.
 func (t *timeline) recordShed(at time.Time) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	if s := t.slot(at); s != nil {
 		s.shed++
@@ -138,9 +128,6 @@ func (t *timeline) recordShed(at time.Time) {
 
 // recordOffered files one intended arrival into its scheduled window.
 func (t *timeline) recordOffered(at time.Time) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	if s := t.slot(at); s != nil {
 		s.offered++
@@ -150,9 +137,6 @@ func (t *timeline) recordOffered(at time.Time) {
 
 // recordDropped files one undispatchable intended arrival.
 func (t *timeline) recordDropped(at time.Time) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	if s := t.slot(at); s != nil {
 		s.dropped++
@@ -165,9 +149,6 @@ func (t *timeline) recordDropped(at time.Time) {
 // starts recorded beyond it) is dropped; without it every recorded slot
 // is reported.
 func (t *timeline) windows() []Window {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := len(t.slots)

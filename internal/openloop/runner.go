@@ -1,3 +1,12 @@
+// Package openloop is the open-loop scenario harness over the load engine
+// (internal/loadgen), as gameday is the fault-drill harness over it.
+//
+// A closed loop self-throttles at saturation: each blocked user stops
+// offering load, so queueing delay vanishes from the measurement exactly
+// when it matters. An open loop keeps offering, which is what real
+// populations do — users don't stop arriving because the site got slow —
+// and is the only load shape under which saturation latency, shedding,
+// and autoscaling behaviour can be measured honestly.
 package openloop
 
 // Scenario runner: sweeps {rate shape × user profile} open-loop runs
@@ -287,11 +296,11 @@ func runSpec(ctx context.Context, spec scenarioSpec, opts Options) (*ScenarioRes
 	}
 	defer shutdownStack(st)
 
-	shape, err := NewShape(spec.Shape)
+	shape, err := loadgen.NewShape(spec.Shape)
 	if err != nil {
 		return nil, err
 	}
-	proc, err := NewArrivalProcess(spec.Arrivals)
+	proc, err := loadgen.NewArrivalProcess(spec.Arrivals)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +309,7 @@ func runSpec(ctx context.Context, spec scenarioSpec, opts Options) (*ScenarioRes
 		return nil, fmt.Errorf("unknown profile %q", spec.Profile)
 	}
 
-	cfg := Config{
+	cfg := loadgen.Config{
 		WebUIURL:       st.WebUIURL,
 		PersistenceURL: st.PersistenceURL,
 		RegistryURL:    st.RegistryURL,
@@ -325,12 +334,12 @@ func runSpec(ctx context.Context, spec scenarioSpec, opts Options) (*ScenarioRes
 	}
 
 	type runOut struct {
-		res Result
+		res loadgen.Result
 		err error
 	}
 	outCh := make(chan runOut, 1)
 	go func() {
-		res, err := Run(ctx, cfg)
+		res, err := loadgen.Run(ctx, cfg)
 		outCh <- runOut{res, err}
 	}()
 
@@ -414,7 +423,7 @@ func runSpec(ctx context.Context, spec scenarioSpec, opts Options) (*ScenarioRes
 		sr.FinalWebuiReplicas = p.actual
 	}
 	if spec.Flash {
-		_, to := FlashWindow()
+		_, to := loadgen.FlashWindow()
 		sr.BurstEndSecond = int(to*dur.Seconds()) + 1
 		sr.RecoverySeconds = recoveryAfter(sr.Windows, sr.BurstEndSecond)
 	}
@@ -487,14 +496,14 @@ func runCO(ctx context.Context, opts Options) (*COComparison, error) {
 	}
 	co := &COComparison{
 		ClosedUsers: closedUsers,
-		ClosedRate:  closed.Throughput,
+		ClosedRate:  closed.AchievedRate,
 		ClosedP99Ms: float64(closed.Latency.P99) / 1e6,
 	}
-	if closed.Throughput <= 0 {
+	if closed.AchievedRate <= 0 {
 		return nil, fmt.Errorf("closed-loop run achieved no throughput")
 	}
-	co.OfferedRate = closed.Throughput * 1.5
-	open, err := Run(ctx, Config{
+	co.OfferedRate = closed.AchievedRate * 1.5
+	open, err := loadgen.Run(ctx, loadgen.Config{
 		WebUIURL:       st.WebUIURL,
 		PersistenceURL: st.PersistenceURL,
 		Profile:        profile,

@@ -1,6 +1,4 @@
-package perfbench
-
-// The write-mix harness behind BENCH_PR8.json: a closed-loop
+// Package perfbench is the write-mix harness behind BENCH_PR8.json: a closed-loop
 // browse:checkout ≈ 70:30 population drives svc://persistence directly —
 // through the same registry-backed balanced client the services use, so
 // shard-aware routing is on the measured path — at 1, 2, and 4
@@ -12,6 +10,7 @@ package perfbench
 // both runs execute on the same host) plus correctness: zero errors and
 // stored orders exactly equal to acked checkouts (no duplicates, no
 // loss) in every run.
+package perfbench
 
 import (
 	"context"
@@ -80,6 +79,20 @@ type WriteReport struct {
 	// latency).
 	SpeedupCheckout4v1 float64 `json:"speedup_checkout_4v1"`
 	P99Ratio4v1        float64 `json:"p99_ratio_4v1"`
+}
+
+// Options configures a harness run.
+type Options struct {
+	// Quick shortens the measured runs for CI.
+	Quick bool
+	// Log receives progress lines; nil silences them.
+	Log func(format string, args ...any)
+}
+
+func (o Options) logf(format string, args ...any) {
+	if o.Log != nil {
+		o.Log(format, args...)
+	}
 }
 
 // RunWriteMix sweeps the write-heavy closed loop across the shard counts

@@ -310,7 +310,7 @@ func (c *characterizer) sweepService(ctx context.Context, svc string) (ServiceCu
 			point := CurvePoint{
 				Replicas:   r,
 				Load:       load,
-				Throughput: res.Throughput,
+				Throughput: res.AchievedRate,
 				P50Ms:      float64(res.Latency.P50) / 1e6,
 				P99Ms:      float64(res.Latency.P99) / 1e6,
 				Errors:     res.Errors,
@@ -318,7 +318,7 @@ func (c *characterizer) sweepService(ctx context.Context, svc string) (ServiceCu
 			}
 			curve.Points = append(curve.Points, point)
 			c.cfg.Log("%s r=%d users=%d: %.1f rps, p99 %.1fms, %d errors, %d shed",
-				svc, r, load, res.Throughput, point.P99Ms, res.Errors, res.Shed)
+				svc, r, load, res.AchievedRate, point.P99Ms, res.Errors, res.Shed)
 		}
 		peak = append(peak, throughputAt(curve.Points, r, c.cfg.Loads[len(c.cfg.Loads)-1]))
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // ReplicaDrainer is an optional Target extension: drain and stop one
@@ -89,20 +91,15 @@ func (c *Controller) checkHealth(st *serviceState, windows []replicaWindow, ejec
 		}
 	}
 	if len(judged) >= 2 {
+		p99s := make([]float64, len(judged))
 		for i, w := range judged {
-			peers := make([]float64, 0, len(judged)-1)
-			for j, o := range judged {
-				if j != i {
-					peers = append(peers, float64(o.p99))
-				}
-			}
-			base := medianF(peers)
-			if base > 0 && float64(w.p99) > c.cfg.OutlierP99Factor*base &&
-				float64(w.p99)-base > float64(minP99Excess) {
-				if _, dup := unhealthy[w.url]; !dup {
-					unhealthy[w.url] = fmt.Sprintf("windowed p99 %.0fms > %.1f× peer median %.0fms",
-						float64(w.p99)/1e6, c.cfg.OutlierP99Factor, base/1e6)
-				}
+			p99s[i] = float64(w.p99)
+		}
+		for i, w := range judged {
+			base, out := metrics.PeerOutlier(p99s, i, c.cfg.OutlierP99Factor, float64(minP99Excess))
+			if _, dup := unhealthy[w.url]; out && !dup {
+				unhealthy[w.url] = fmt.Sprintf("windowed p99 %.0fms > %.1f× peer median %.0fms",
+					p99s[i]/1e6, c.cfg.OutlierP99Factor, base/1e6)
 			}
 		}
 	}
@@ -188,17 +185,4 @@ func unhealthyList(st *serviceState) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// medianF of a small unsorted slice (sorts its argument).
-func medianF(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
 }

@@ -50,8 +50,8 @@ type PolicyCurve struct {
 	// Slots are the swept service's slot labels at measurement time and
 	// Caps the admission caps those slots derived — the placement the
 	// numbers were produced under, kept so curves are explainable.
-	Slots []string     `json:"slots,omitempty"`
-	Caps  []int        `json:"caps,omitempty"`
+	Slots  []string     `json:"slots,omitempty"`
+	Caps   []int        `json:"caps,omitempty"`
 	Points []CurvePoint `json:"points"`
 	// PeakRPS is the best throughput across the load levels; P99AtPeakMs
 	// the tail latency at that load.
@@ -181,7 +181,7 @@ func MeasurePolicyCurve(ctx context.Context, target Target, policy, service stri
 		point := CurvePoint{
 			Replicas:   replicas,
 			Load:       load,
-			Throughput: res.Throughput,
+			Throughput: res.AchievedRate,
 			P50Ms:      float64(res.Latency.P50) / 1e6,
 			P99Ms:      float64(res.Latency.P99) / 1e6,
 			Errors:     res.Errors,
@@ -189,7 +189,7 @@ func MeasurePolicyCurve(ctx context.Context, target Target, policy, service stri
 		}
 		curve.Points = append(curve.Points, point)
 		cfg.Log("placement %s users=%d: %.1f rps, p99 %.1fms, %d errors, %d shed",
-			policy, load, res.Throughput, point.P99Ms, res.Errors, res.Shed)
+			policy, load, res.AchievedRate, point.P99Ms, res.Errors, res.Shed)
 		if point.Throughput > curve.PeakRPS {
 			curve.PeakRPS = point.Throughput
 			curve.P99AtPeakMs = point.P99Ms

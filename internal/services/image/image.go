@@ -119,8 +119,8 @@ var pngEncoder = png.Encoder{CompressionLevel: png.BestSpeed, BufferPool: encode
 // are written straight into the RGBA backing slice (no per-pixel
 // bounds-checked SetRGBA calls), the row/column trigonometry is hoisted
 // out of the pixel loop, and the pixel and PNG buffers are pooled;
-// RenderReference keeps the original implementation for equivalence
-// tests and before/after benchmarks.
+// RenderReference (render_test.go) keeps the original implementation as
+// the equivalence oracle.
 func Render(productID int64, px int) ([]byte, error) {
 	if px <= 0 || px > 1024 {
 		return nil, fmt.Errorf("image: invalid size %d", px)
@@ -183,44 +183,6 @@ func Render(productID int64, px int) ([]byte, error) {
 	out := make([]byte, buf.Len())
 	copy(out, buf.Bytes())
 	return out, nil
-}
-
-// RenderReference is the original per-pixel SetRGBA implementation,
-// kept as the behavioural oracle: Render must produce pixel-identical
-// images, and the perf harness measures its speedup against this.
-func RenderReference(productID int64, px int) ([]byte, error) {
-	if px <= 0 || px > 1024 {
-		return nil, fmt.Errorf("image: invalid size %d", px)
-	}
-	p := paramsFor(productID)
-	img := image.NewRGBA(image.Rect(0, 0, px, px))
-	for y := 0; y < px; y++ {
-		for x := 0; x < px; x++ {
-			u := float64(x)/float64(px) - 0.5
-			v := float64(y)/float64(px) - 0.5
-			r := math.Sqrt(u*u + v*v)
-			w := 0.5 +
-				0.25*math.Sin(p.fx*math.Pi*u)*math.Cos(p.fy*math.Pi*v) +
-				0.25*math.Sin(p.rings*2*math.Pi*r)
-			if w < 0 {
-				w = 0
-			}
-			if w > 1 {
-				w = 1
-			}
-			img.SetRGBA(x, y, color.RGBA{
-				R: lerp(p.base.R, p.accent.R, w),
-				G: lerp(p.base.G, p.accent.G, w),
-				B: lerp(p.base.B, p.accent.B, w),
-				A: 255,
-			})
-		}
-	}
-	var buf bytes.Buffer
-	if err := png.Encode(&buf, img); err != nil {
-		return nil, fmt.Errorf("image: encoding: %w", err)
-	}
-	return buf.Bytes(), nil
 }
 
 func lerp(a, b uint8, w float64) uint8 {

@@ -3,12 +3,54 @@ package image
 import (
 	"bytes"
 	"fmt"
+	"image"
+	"image/color"
 	"image/png"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+// RenderReference is the original per-pixel SetRGBA implementation,
+// kept as the behavioural oracle: Render must produce pixel-identical
+// images, and BenchmarkImageGenerateReference is its number beside
+// BenchmarkImageGenerate's.
+func RenderReference(productID int64, px int) ([]byte, error) {
+	if px <= 0 || px > 1024 {
+		return nil, fmt.Errorf("image: invalid size %d", px)
+	}
+	p := paramsFor(productID)
+	img := image.NewRGBA(image.Rect(0, 0, px, px))
+	for y := 0; y < px; y++ {
+		for x := 0; x < px; x++ {
+			u := float64(x)/float64(px) - 0.5
+			v := float64(y)/float64(px) - 0.5
+			r := math.Sqrt(u*u + v*v)
+			w := 0.5 +
+				0.25*math.Sin(p.fx*math.Pi*u)*math.Cos(p.fy*math.Pi*v) +
+				0.25*math.Sin(p.rings*2*math.Pi*r)
+			if w < 0 {
+				w = 0
+			}
+			if w > 1 {
+				w = 1
+			}
+			img.SetRGBA(x, y, color.RGBA{
+				R: lerp(p.base.R, p.accent.R, w),
+				G: lerp(p.base.G, p.accent.G, w),
+				B: lerp(p.base.B, p.accent.B, w),
+				A: 255,
+			})
+		}
+	}
+	var buf bytes.Buffer
+	if err := png.Encode(&buf, img); err != nil {
+		return nil, fmt.Errorf("image: encoding: %w", err)
+	}
+	return buf.Bytes(), nil
+}
 
 // TestRenderMatchesReference decodes both implementations' PNGs and
 // compares every pixel: the optimized direct-Pix path must be an exact
@@ -158,9 +200,32 @@ func TestFlightGroupCollapses(t *testing.T) {
 	}
 }
 
+// TestRenderAllocCeiling pins the pooled render's steady-state allocation
+// budget at the preview size (5 allocs/op measured): the pixel buffer and
+// encoder state come from pools, so only the PNG bytes and encoding/png's
+// own bookkeeping are allocated per call.
+func TestRenderAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	if _, err := Render(1, 125); err != nil { // warm the pools
+		t.Fatal(err)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		i++
+		if _, err := Render(int64(i%50), 125); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Fatalf("Render(…,125) allocs/op = %.1f, want ≤ 6", allocs)
+	}
+}
+
 // BenchmarkImageGenerate measures the optimized render at the preview
 // size the storefront grid uses; BenchmarkImageGenerateReference is the
-// before number the perf gate compares against.
+// per-pixel reference implementation's number beside it.
 func BenchmarkImageGenerate(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -204,7 +204,7 @@ func TestPersistenceKilledMidLoadRun(t *testing.T) {
 	if elapsed > 30*time.Second {
 		t.Fatalf("run took %v — requests hung on the dead backend", elapsed)
 	}
-	if res.Requests == 0 {
+	if res.Served == 0 {
 		t.Fatal("no requests completed")
 	}
 	if res.Errors == 0 {
