@@ -566,7 +566,13 @@ func (c *Client) doJSON(ctx context.Context, method, url string, in, out any) er
 	return nil
 }
 
-// GetBytes GETs a binary payload (images).
+// maxBytesBody caps a GetBytes payload.
+const maxBytesBody = 32 << 20
+
+// GetBytes GETs a binary payload (images). A declared Content-Length is
+// read into one buffer of exactly that size. A body over maxBytesBody, or
+// shorter than it declared, is an error, never a silently truncated
+// payload.
 func (c *Client) GetBytes(ctx context.Context, url string) ([]byte, error) {
 	resp, err := c.exec(ctx, http.MethodGet, url, nil, "")
 	if err != nil {
@@ -576,7 +582,23 @@ func (c *Client) GetBytes(ctx context.Context, url string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeError(resp)
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, 32<<20))
+	if n := resp.ContentLength; n > maxBytesBody {
+		return nil, fmt.Errorf("httpkit: GET %s: body of %d bytes exceeds the %d-byte cap", url, n, maxBytesBody)
+	} else if n >= 0 {
+		data := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, data); err != nil {
+			return nil, fmt.Errorf("httpkit: GET %s: reading %d-byte body: %w", url, n, err)
+		}
+		return data, nil
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBytesBody+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(data) > maxBytesBody {
+		return nil, fmt.Errorf("httpkit: GET %s: body exceeds the %d-byte cap", url, maxBytesBody)
+	}
+	return data, nil
 }
 
 // injectTrace forwards the context's trace identity one hop deeper so the

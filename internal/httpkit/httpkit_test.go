@@ -1,8 +1,10 @@
 package httpkit
 
 import (
+	"bytes"
 	"context"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -138,6 +140,56 @@ func TestGetBytes(t *testing.T) {
 	}
 	if _, err := c.GetBytes(context.Background(), s.URL()+"/fail"); !IsStatus(err, http.StatusNotFound) {
 		t.Fatalf("fail err = %v", err)
+	}
+}
+
+// TestGetBytesBodyLength pins how GetBytes reads a body: a declared
+// length exactly, an undeclared (chunked, /metrics-style) one up to the
+// cap, and anything over the cap or short of its declared length as an
+// error instead of a truncated payload.
+func TestGetBytesBodyLength(t *testing.T) {
+	chunk := bytes.Repeat([]byte("0123456789abcdef"), 4096) // 64 KiB
+	// Without a declared length, a body larger than net/http buffers is
+	// sent chunked.
+	body := func(total int, declared bool) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if declared {
+				w.Header().Set("Content-Length", strconv.Itoa(total))
+			}
+			for left := total; left > 0; left -= len(chunk) {
+				if _, err := w.Write(chunk[:min(left, len(chunk))]); err != nil {
+					return
+				}
+			}
+		}
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /declared", body(len(chunk), true))
+	mux.HandleFunc("GET /chunked", body(3*len(chunk)+5, false))
+	mux.HandleFunc("GET /declared-over-cap", body(maxBytesBody+1, true))
+	mux.HandleFunc("GET /chunked-over-cap", body(maxBytesBody+1, false))
+	mux.HandleFunc("GET /short", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "10")
+		w.Write([]byte{1, 2, 3})
+	})
+	s := startTestServer(t, mux)
+	c := NewClient(10 * time.Second)
+	get := func(path string) ([]byte, error) {
+		return c.GetBytes(context.Background(), s.URL()+path)
+	}
+
+	if data, err := get("/declared"); err != nil || !bytes.Equal(data, chunk) || cap(data) != len(chunk) {
+		t.Fatalf("declared: len %d cap %d err %v; want the %d-byte body in an exact buffer",
+			len(data), cap(data), err, len(chunk))
+	}
+	want := append(bytes.Repeat(chunk, 3), chunk[:5]...)
+	if data, err := get("/chunked"); err != nil || !bytes.Equal(data, want) {
+		t.Fatalf("chunked: len %d err %v; want %d bytes", len(data), err, len(want))
+	}
+	for _, path := range []string{"/declared-over-cap", "/chunked-over-cap", "/short"} {
+		if data, err := get(path); err == nil {
+			t.Errorf("%s: %d bytes, nil error; want an error", path, len(data))
+		}
 	}
 }
 

@@ -1,12 +1,21 @@
 package webui
 
-import "html/template"
+import (
+	"bytes"
+	"encoding/base64"
+	"html/template"
+	"strings"
+	"sync"
+)
 
-// pageTemplates is the complete UI, compiled once at start-up. The layout
-// deliberately mirrors the original TeaStore: a storefront with category
-// navigation, product grids with embedded base64 preview images, a cart,
-// and a profile page.
-var pageTemplates = template.Must(template.New("layout").Parse(`
+// pageTemplates is the complete UI, compiled once at start-up.
+var pageTemplates = template.Must(template.New("layout").Parse(pageSource))
+
+// pageSource is the template text. The layout deliberately mirrors the
+// original TeaStore: a storefront with category navigation, product grids
+// with embedded base64 preview images, a cart, and a profile page. Every
+// product image is an imgSrc attribute spliced into its <img> tag.
+const pageSource = `
 {{define "header"}}<!DOCTYPE html>
 <html lang="en">
 <head><meta charset="utf-8"><title>TeaStore — {{.Title}}</title>
@@ -54,7 +63,7 @@ input{padding:0.35em;margin:0.2em 0}
 <div class="grid">
 {{range .Products}}
 <div class="card">
-<a href="/product/{{.ID}}"><img src="data:image/png;base64,{{.ImageB64}}" alt="{{.Name}}"></a>
+<a href="/product/{{.ID}}"><img {{.Img}} alt="{{.Name}}"></a>
 <a href="/product/{{.ID}}">{{.Name}}</a>
 <div class="price">{{.Price}}</div>
 </div>
@@ -70,7 +79,7 @@ input{padding:0.35em;margin:0.2em 0}
 <h1>{{.Product.Name}}</h1>
 <div class="grid">
 <div class="card" style="width:26em">
-<img src="data:image/png;base64,{{.ImageB64}}" alt="{{.Product.Name}}">
+<img {{.Img}} alt="{{.Product.Name}}">
 <p>{{.Product.Description}}</p>
 <div class="price">{{.Price}}</div>
 <form class="inline" method="post" action="/cart/add">
@@ -83,7 +92,7 @@ input{padding:0.35em;margin:0.2em 0}
 <div class="grid">
 {{range .Recommended}}
 <div class="card">
-<a href="/product/{{.ID}}"><img src="data:image/png;base64,{{.ImageB64}}" alt="{{.Name}}"></a>
+<a href="/product/{{.ID}}"><img {{.Img}} alt="{{.Name}}"></a>
 <a href="/product/{{.ID}}">{{.Name}}</a>
 <div class="price">{{.Price}}</div>
 </div>
@@ -140,4 +149,54 @@ input{padding:0.35em;margin:0.2em 0}
 {{define "error"}}{{template "header" .}}
 <div class="error"><h1>Something went wrong</h1><p>{{.Message}}</p></div>
 {{template "footer" .}}{{end}}
-`))
+`
+
+// imgPrefix opens every attribute imgSrc builds.
+const imgPrefix = `src="data:image/png;base64,`
+
+// maxPooledScratch bounds the encode buffers b64Scratch keeps. The
+// largest full-size product image encodes to about 210 KB; a larger
+// buffer is dropped after use rather than pinned in the pool.
+const maxPooledScratch = 256 << 10
+
+// b64Scratch recycles imgSrc's base64 encode buffers.
+var b64Scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// imgSrc returns the complete src attribute of a PNG data URI, escaped
+// exactly as html/template escapes src="data:image/png;base64,{{.}}": its
+// URL normalizer passes the base64 alphabet through and its attribute
+// escaper rewrites only '+', as "&#43;". Spliced into a tag as a
+// template.HTMLAttr, the attribute is copied verbatim, so the ~170 KB of
+// base64 on a page is no longer scanned twice per render. HTMLAttr is
+// trusted content: the argument must be image bytes the webui encodes
+// itself, never a request or backend string.
+func imgSrc(png []byte) template.HTMLAttr {
+	scratch := b64Scratch.Get().(*[]byte)
+	n := base64.StdEncoding.EncodedLen(len(png))
+	if cap(*scratch) < n {
+		*scratch = make([]byte, n)
+	}
+	enc := (*scratch)[:n]
+	base64.StdEncoding.Encode(enc, png)
+
+	const plusEntity = "&#43;"
+	var b strings.Builder
+	b.Grow(len(imgPrefix) + n + (len(plusEntity)-1)*bytes.Count(enc, []byte{'+'}) + 1)
+	b.WriteString(imgPrefix)
+	for {
+		i := bytes.IndexByte(enc, '+')
+		if i < 0 {
+			break
+		}
+		b.Write(enc[:i])
+		b.WriteString(plusEntity)
+		enc = enc[i+1:]
+	}
+	b.Write(enc)
+	b.WriteByte('"')
+
+	if cap(*scratch) <= maxPooledScratch {
+		b64Scratch.Put(scratch)
+	}
+	return template.HTMLAttr(b.String())
+}

@@ -1,13 +1,16 @@
 // Package webui implements TeaStore's front end: HTML pages that fan out
-// to the Auth, Persistence, Recommender, and ImageProvider services,
-// embedding rendered product images as base64 data URIs exactly like the
-// original. It is the orchestrator every user request passes through.
+// to the Auth, Persistence, Recommender, and ImageProvider services. Like
+// the original, it inlines every product image as a base64 data URI; each
+// fetched image becomes one pre-escaped src attribute (imgSrc) that the
+// templates splice into its <img> tag. It is the orchestrator every user
+// request passes through.
 package webui
 
 import (
 	"context"
 	"encoding/base64"
 	"fmt"
+	"html/template"
 	"net/http"
 	"strconv"
 	"sync"
@@ -55,6 +58,15 @@ const productsPerPage = 8
 // ImageProvider is unreachable, so pages degrade to visible placeholders
 // instead of broken image tags.
 const placeholderImageB64 = "iVBORw0KGgoAAAANSUhEUgAAAAgAAAAICAIAAABLbSncAAAAGUlEQVR4nGK5ceMGAzbAhFV00EoAAgAA///+nwKb+G5vKAAAAABJRU5ErkJggg=="
+
+// placeholderImg is the placeholder's src attribute, built once.
+var placeholderImg = func() template.HTMLAttr {
+	png, err := base64.StdEncoding.DecodeString(placeholderImageB64)
+	if err != nil {
+		panic(err)
+	}
+	return imgSrc(png)
+}()
 
 // recCacheCap bounds the recommendation fallback cache.
 const recCacheCap = 256
@@ -159,6 +171,11 @@ func (sess session) cartCount() int {
 // nav rather than failing the page.
 func (s *Service) nav(ctx context.Context, title string, sess session) nav {
 	cats, _ := s.backends.Persistence.Categories(ctx)
+	return sess.nav(title, cats)
+}
+
+// nav assembles the chrome around an already fetched category list.
+func (sess session) nav(title string, cats []db.Category) nav {
 	n := nav{Title: title, Categories: cats, CartCount: sess.cartCount()}
 	if sess.loggedIn {
 		n.User = sess.claims.Email
@@ -185,12 +202,13 @@ func render(w http.ResponseWriter, name string, data any) {
 	_ = pageTemplates.ExecuteTemplate(w, name, data)
 }
 
-// productCard is a grid tile with an embedded image.
+// productCard is a grid tile with an embedded image; Img is empty on
+// tiles rendered without one.
 type productCard struct {
-	ID       int64
-	Name     string
-	Price    string
-	ImageB64 string
+	ID    int64
+	Name  string
+	Price string
+	Img   template.HTMLAttr
 }
 
 // maxImageFanout bounds how many image fetches one page issues
@@ -200,11 +218,11 @@ type productCard struct {
 const maxImageFanout = 8
 
 // fetchImages loads images for products concurrently through a
-// semaphore-bounded pool, returning base64 strings aligned with the
+// semaphore-bounded pool, returning src attributes aligned with the
 // input. Failures yield the gray placeholder rather than failing the
 // page or emitting broken image tags.
-func (s *Service) fetchImages(ctx context.Context, products []db.Product, size imagesvc.Size) []string {
-	out := make([]string, len(products))
+func (s *Service) fetchImages(ctx context.Context, products []db.Product, size imagesvc.Size) []template.HTMLAttr {
+	out := make([]template.HTMLAttr, len(products))
 	sem := make(chan struct{}, maxImageFanout)
 	var wg sync.WaitGroup
 	for i, p := range products {
@@ -212,22 +230,28 @@ func (s *Service) fetchImages(ctx context.Context, products []db.Product, size i
 		sem <- struct{}{}
 		go func(i int, id int64) {
 			defer func() { <-sem; wg.Done() }()
-			if data, err := s.backends.Image.Image(ctx, id, size); err == nil {
-				out[i] = base64.StdEncoding.EncodeToString(data)
-			} else {
-				out[i] = placeholderImageB64
-			}
+			out[i] = s.image(ctx, id, size)
 		}(i, p.ID)
 	}
 	wg.Wait()
 	return out
 }
 
+// image fetches one product image as a src attribute, or the placeholder's
+// if the fetch fails.
+func (s *Service) image(ctx context.Context, id int64, size imagesvc.Size) template.HTMLAttr {
+	data, err := s.backends.Image.Image(ctx, id, size)
+	if err != nil {
+		return placeholderImg
+	}
+	return imgSrc(data)
+}
+
 func (s *Service) cards(ctx context.Context, products []db.Product, size imagesvc.Size) []productCard {
 	images := s.fetchImages(ctx, products, size)
 	cards := make([]productCard, len(products))
 	for i, p := range products {
-		cards[i] = productCard{ID: p.ID, Name: p.Name, Price: price(p.PriceCents), ImageB64: images[i]}
+		cards[i] = productCard{ID: p.ID, Name: p.Name, Price: price(p.PriceCents), Img: images[i]}
 	}
 	return cards
 }
@@ -290,11 +314,12 @@ func (s *Service) handleHome(w http.ResponseWriter, r *http.Request) {
 		s.renderError(w, r, http.StatusBadGateway, "catalog unavailable: %v", err)
 		return
 	}
+	// The cards and the nav show the same list: one fetch serves both.
 	render(w, "home", struct {
 		nav
 		Tagline string
 		Cards   []db.Category
-	}{s.nav(r.Context(), "Home", sess), "Fine teas, microservice fresh.", cats})
+	}{sess.nav("Home", cats), "Fine teas, microservice fresh.", cats})
 }
 
 func (s *Service) handleCategory(w http.ResponseWriter, r *http.Request) {
@@ -349,21 +374,21 @@ func (s *Service) handleProduct(w http.ResponseWriter, r *http.Request) {
 		s.renderError(w, r, http.StatusNotFound, "product %d: %v", id, err)
 		return
 	}
-	var img string
-	if data, err := s.backends.Image.Image(r.Context(), p.ID, imagesvc.SizeFull); err == nil {
-		img = base64.StdEncoding.EncodeToString(data)
-	}
-	render(w, "product", struct {
-		nav
-		Product     db.Product
-		Price       string
-		ImageB64    string
-		Recommended []productCard
-	}{
+	render(w, "product", productPage{
 		s.nav(r.Context(), p.Name, sess),
-		p, price(p.PriceCents), img,
+		p, price(p.PriceCents),
+		s.image(r.Context(), p.ID, imagesvc.SizeFull),
 		s.recommendedCards(r.Context(), sess.claims.UserID, []int64{p.ID}, 4, true),
 	})
+}
+
+// productPage is the product page's data.
+type productPage struct {
+	nav
+	Product     db.Product
+	Price       string
+	Img         template.HTMLAttr
+	Recommended []productCard
 }
 
 func (s *Service) handleLoginForm(w http.ResponseWriter, r *http.Request) {

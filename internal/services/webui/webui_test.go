@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,8 +21,12 @@ import (
 
 // fixture wires a WebUI to real in-process backends over httptest.
 type fixture struct {
+	svc   *Service
 	ui    *httptest.Server
+	img   *httptest.Server
 	store *db.Store
+	// categoryGets counts GET /categories calls persistence served.
+	categoryGets atomic.Int64
 }
 
 func newFixture(t testing.TB) *fixture {
@@ -33,7 +38,14 @@ func newFixture(t testing.TB) *fixture {
 		t.Fatal(err)
 	}
 
-	persistSrv := httptest.NewServer(persistence.New(store).Mux())
+	f := &fixture{store: store}
+	persistMux := persistence.New(store).Mux()
+	persistSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && r.URL.Path == "/categories" {
+			f.categoryGets.Add(1)
+		}
+		persistMux.ServeHTTP(w, r)
+	}))
 	t.Cleanup(persistSrv.Close)
 	hc := httpkit.NewClient(5 * time.Second)
 	persistClient := persistence.NewClient(persistSrv.URL, hc)
@@ -55,21 +67,32 @@ func newFixture(t testing.TB) *fixture {
 	recSrv := httptest.NewServer(recSvc.Mux())
 	t.Cleanup(recSrv.Close)
 
-	imgSrv := httptest.NewServer(imagesvc.New(0).Mux())
-	t.Cleanup(imgSrv.Close)
+	f.img = httptest.NewServer(imagesvc.New(0).Mux())
+	t.Cleanup(f.img.Close)
 
 	ui, err := New(Backends{
 		Auth:        auth.NewClient(authSrv.URL, hc),
 		Persistence: persistClient,
 		Recommender: recommender.NewClient(recSrv.URL, hc),
-		Image:       imagesvc.NewClient(imgSrv.URL, hc),
+		Image:       imagesvc.NewClient(f.img.URL, hc),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	uiSrv := httptest.NewServer(ui.Mux())
-	t.Cleanup(uiSrv.Close)
-	return &fixture{ui: uiSrv, store: store}
+	f.svc = ui
+	f.ui = httptest.NewServer(ui.Mux())
+	t.Cleanup(f.ui.Close)
+	return f
+}
+
+// productPath is the page of the first product in the first category.
+func (f *fixture) productPath(t testing.TB) string {
+	t.Helper()
+	products, _, err := f.store.ProductsByCategory(f.store.Categories()[0].ID, 0, 1)
+	if err != nil || len(products) == 0 {
+		t.Fatalf("no product to view: %v", err)
+	}
+	return "/product/" + int64Str(products[0].ID)
 }
 
 func (f *fixture) get(t *testing.T, path string) (int, string) {
@@ -106,6 +129,35 @@ func TestHomeListsCategories(t *testing.T) {
 	for _, cat := range f.store.Categories() {
 		if !strings.Contains(body, cat.Name) {
 			t.Fatalf("home missing category %q", cat.Name)
+		}
+	}
+}
+
+func TestHomeFetchesCategoriesOnce(t *testing.T) {
+	f := newFixture(t)
+	for i := 1; i <= 3; i++ {
+		if code, _ := f.get(t, "/"); code != 200 {
+			t.Fatalf("home = %d", code)
+		}
+		if got := f.categoryGets.Load(); got != int64(i) {
+			t.Fatalf("%d home pages made %d GET /categories calls, want %d", i, got, i)
+		}
+	}
+}
+
+func TestImagesDegradeToPlaceholder(t *testing.T) {
+	f := newFixture(t)
+	f.img.Close()
+	for _, path := range []string{f.productPath(t), "/category/1"} {
+		code, body := f.get(t, path)
+		if code != 200 {
+			t.Fatalf("%s = %d with the image service down", path, code)
+		}
+		if !strings.Contains(body, "<img "+string(placeholderImg)) {
+			t.Errorf("%s: no placeholder image", path)
+		}
+		if strings.Contains(body, `base64,"`) {
+			t.Errorf("%s: empty data URI (a broken image tag)", path)
 		}
 	}
 }
