@@ -291,14 +291,15 @@ func BenchmarkImageRenderPreview(b *testing.B) {
 
 func BenchmarkImageCacheHit(b *testing.B) {
 	svc := imagesvc.New(0)
-	if _, err := svc.Image(1, imagesvc.SizePreview); err != nil {
-		b.Fatal(err)
+	item := []imagesvc.Item{{ID: 1, Size: imagesvc.SizePreview}}
+	if svc.Images(item)[0] == nil {
+		b.Fatal("render failed")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svc.Image(1, imagesvc.SizePreview); err != nil {
-			b.Fatal(err)
+		if svc.Images(item)[0] == nil {
+			b.Fatal("cached image missing")
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Quickstart boots the full TeaStore in-process and walks the public API:
-// discover services, log in, browse the catalog, fetch an image, get
-// recommendations, and place an order.
+// discover services, log in, browse the catalog, fetch a batch of images,
+// get recommendations, and place an order.
 package main
 
 import (
@@ -67,12 +67,13 @@ func main() {
 		fmt.Printf("  #%d %-40s $%d.%02d\n", p.ID, p.Name, p.PriceCents/100, p.PriceCents%100)
 	}
 
-	// Product image.
-	img, err := images.Image(ctx, page.Products[0].ID, imagesvc.SizePreview)
-	if err != nil {
-		log.Fatal(err)
+	// Product images: a preview and an icon in one batch call.
+	p0 := page.Products[0]
+	pngs, err := images.Images(ctx, []imagesvc.Item{{ID: p0.ID, Size: imagesvc.SizePreview}, {ID: p0.ID, Size: imagesvc.SizeIcon}})
+	if err != nil || pngs[0] == nil || pngs[1] == nil {
+		log.Fatalf("images of #%d: %v", p0.ID, err)
 	}
-	fmt.Printf("\nrendered %s preview: %d PNG bytes\n", page.Products[0].Name, len(img))
+	fmt.Printf("\nrendered %s in one call: preview %d, icon %d PNG bytes\n", p0.Name, len(pngs[0]), len(pngs[1]))
 
 	// Recommendations for the first product.
 	recommended, err := recs.Recommend(ctx, login.UserID, []int64{page.Products[0].ID}, 3)

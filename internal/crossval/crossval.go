@@ -317,12 +317,12 @@ type Verdict struct {
 
 // Report is the cross-validation output written to CROSSVAL.json.
 type Report struct {
-	Scenario    string     `json:"scenario"`
-	Mode        string     `json:"mode"` // "sweep" or "calibrate-only"
-	Loads       []int      `json:"loads"`
-	MaxReplicas int        `json:"maxReplicas"`
-	Seed        int64      `json:"seed"`
-	Tolerances  Tolerances `json:"tolerances"`
+	Scenario    string      `json:"scenario"`
+	Mode        string      `json:"mode"` // "sweep" or "calibrate-only"
+	Loads       []int       `json:"loads"`
+	MaxReplicas int         `json:"maxReplicas"`
+	Seed        int64       `json:"seed"`
+	Tolerances  Tolerances  `json:"tolerances"`
 	Calibration Calibration `json:"calibration"`
 	// Services align with the scenario's sweep order.
 	Services []ServiceAgreement `json:"services,omitempty"`

@@ -24,7 +24,7 @@ func TestNormalizeRoute(t *testing.T) {
 		{"GET", "/user-by-email/user1@teastore.test", "GET /user-by-email/{email}"},
 		{"GET", "/user-by-email/user1%40teastore.test", "GET /user-by-email/{email}"},
 		{"POST", "/cart/add", "POST /cart/add"},
-		{"GET", "/image/42", "GET /image/{id}"},
+		{"GET", "/images", "GET /images"},
 	}
 	for _, c := range cases {
 		if got := normalizeRoute(c.method, c.path); got != c.want {

@@ -1,6 +1,7 @@
 // Package image implements TeaStore's ImageProvider service: it renders
 // deterministic product artwork as PNG at several sizes and serves it
-// through a byte-bounded LRU cache. Rendering is genuinely CPU-heavy
+// through a byte-bounded LRU cache, a page's images per call like the
+// original's getProductImages. Rendering is genuinely CPU-heavy
 // (per-pixel generation plus PNG compression), matching the service's
 // role as one of the workload's dominant CPU consumers.
 package image
@@ -8,6 +9,7 @@ package image
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"image"
 	"image/color"
@@ -15,6 +17,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/httpkit"
@@ -247,53 +250,102 @@ func New(cacheBytes int64) *Service {
 // Cache exposes cache statistics.
 func (s *Service) Cache() *Cache { return s.cache }
 
-// Image returns the (possibly cached) PNG for a product at a size.
-// Concurrent misses for the same (product, size) collapse into one
-// render: a popular product's cache expiry no longer stampedes N
-// identical CPU-heavy renders, it costs exactly one.
-func (s *Service) Image(productID int64, size Size) ([]byte, error) {
-	px := size.Pixels()
-	if px == 0 {
-		return nil, fmt.Errorf("image: unknown size %q", size)
-	}
-	key := strconv.FormatInt(productID, 10) + "/" + string(size)
-	if data, ok := s.cache.Get(key); ok {
-		return data, nil
-	}
-	return s.flight.do(key, func() ([]byte, error) {
-		data, err := Render(productID, px)
-		if err != nil {
-			return nil, err
+// Item names one image of a batch: a product at a size.
+type Item struct {
+	ID   int64
+	Size Size
+}
+
+// A batch holds at most maxBatch items, and at most maxRenders of its
+// misses render at once: enough to keep a page's misses parallel, few
+// enough that one batch cannot flood the render CPU with goroutines.
+const (
+	maxBatch   = 64
+	maxRenders = 8
+)
+
+// Images returns the (possibly cached) PNGs of a batch aligned with
+// items, nil where an item's size is unknown. Each item is one cache
+// lookup. Concurrent misses for one (product, size), in a batch or across
+// batches, collapse into one render: a cache expiry costs one render.
+func (s *Service) Images(items []Item) [][]byte {
+	out := make([][]byte, len(items))
+	sem := make(chan struct{}, maxRenders)
+	var wg sync.WaitGroup
+	for i, it := range items {
+		px := it.Size.Pixels()
+		if px == 0 {
+			continue
 		}
-		s.cache.Put(key, data)
-		return data, nil
-	})
+		key := strconv.FormatInt(it.ID, 10) + "/" + string(it.Size)
+		if data, ok := s.cache.Get(key); ok {
+			out[i] = data
+			continue
+		}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int, id int64) {
+			defer func() { <-sem; wg.Done() }()
+			out[i], _ = s.flight.do(key, func() ([]byte, error) {
+				// A flight for key that ended after this item's lookup
+				// missed has already filled the cache.
+				if data, ok := s.cache.peek(key); ok {
+					return data, nil
+				}
+				data, err := Render(id, px)
+				if err == nil {
+					s.cache.Put(key, data)
+				}
+				return data, err
+			})
+		}(i, it.ID)
+	}
+	wg.Wait()
+	return out
 }
 
 // Mux returns the HTTP API:
 //
-//	GET /image/{productID}?size=preview   → image/png
-//	GET /cache/stats                      → {hits, misses, bytes, entries}
+//	GET /images?item=12:preview&item=7:icon → PNG batch, in request order
+//	GET /cache/stats                         → {hits, misses, bytes, entries}
+//
+// A batch response is the PNGs back to back, then a table of one
+// big-endian uint32 length per item (0xFFFFFFFF where that item failed).
+// The table goes last so that its few bytes are still buffered when the
+// handler returns: no caller holds a whole batch before the span ends.
 func (s *Service) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /image/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-		if err != nil {
-			httpkit.WriteError(w, http.StatusBadRequest, "bad product id %q", r.PathValue("id"))
+	mux.HandleFunc("GET /images", func(w http.ResponseWriter, r *http.Request) {
+		parts := r.URL.Query()["item"]
+		if len(parts) > maxBatch {
+			httpkit.WriteError(w, http.StatusBadRequest, "%d items exceed the batch limit of %d", len(parts), maxBatch)
 			return
 		}
-		size := Size(r.URL.Query().Get("size"))
-		if size == "" {
-			size = SizePreview
+		items := make([]Item, len(parts))
+		for i, part := range parts {
+			// A malformed id leaves its item sizeless: it fails alone.
+			id, size, _ := strings.Cut(part, ":")
+			if n, err := strconv.ParseInt(id, 10, 64); err == nil {
+				items[i] = Item{ID: n, Size: Size(size)}
+			}
 		}
-		data, err := s.Image(id, size)
-		if err != nil {
-			httpkit.WriteError(w, http.StatusBadRequest, "%v", err)
-			return
+		pngs := s.Images(items)
+		table := make([]byte, 4*len(pngs))
+		total := len(table)
+		for i, data := range pngs {
+			n := uint32(math.MaxUint32)
+			if data != nil {
+				n = uint32(len(data))
+				total += len(data)
+			}
+			binary.BigEndian.PutUint32(table[4*i:], n)
 		}
-		w.Header().Set("Content-Type", "image/png")
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		_, _ = w.Write(data)
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(total))
+		for _, data := range pngs {
+			_, _ = w.Write(data)
+		}
+		_, _ = w.Write(table)
 	})
 	mux.HandleFunc("GET /cache/stats", func(w http.ResponseWriter, r *http.Request) {
 		hits, misses := s.cache.Stats()
@@ -319,7 +371,38 @@ func NewClient(baseURL string, hc *httpkit.Client) *Client {
 	return &Client{http: hc, base: baseURL}
 }
 
-// Image fetches one product image.
-func (c *Client) Image(ctx context.Context, productID int64, size Size) ([]byte, error) {
-	return c.http.GetBytes(ctx, fmt.Sprintf("%s/image/%d?size=%s", c.base, productID, size))
+// Images fetches a batch of product images in one round trip, aligned
+// with items, nil where an item failed. An empty batch makes no call.
+func (c *Client) Images(ctx context.Context, items []Item) ([][]byte, error) {
+	if len(items) == 0 {
+		return nil, nil
+	}
+	var q strings.Builder
+	for _, it := range items {
+		fmt.Fprintf(&q, "&item=%d:%s", it.ID, it.Size)
+	}
+	body, err := c.http.GetBytes(ctx, c.base+"/images?"+q.String()[1:])
+	if err != nil {
+		return nil, err
+	}
+	return splitBatch(body, len(items))
+}
+
+// splitBatch cuts a batch body into its n images. A length table that
+// does not add up exactly to the body is an error, not misaligned images.
+func splitBatch(body []byte, n int) ([][]byte, error) {
+	out := make([][]byte, n)
+	table, off := len(body)-4*n, 0
+	for i := 0; i < n && off <= table; i++ {
+		if size := binary.BigEndian.Uint32(body[table+4*i:]); size != math.MaxUint32 {
+			if end := off + int(size); end <= table {
+				out[i] = body[off:end:end]
+			}
+			off += int(size)
+		}
+	}
+	if off != table {
+		return nil, fmt.Errorf("image: batch length table does not add up to its %d-byte body", len(body))
+	}
+	return out, nil
 }

@@ -83,6 +83,17 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	return data, ok
 }
 
+// peek is Get without counting a lookup or touching recency.
+func (c *Cache) peek(key string) ([]byte, bool) {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.items[key]; ok {
+		return el.Value.(*lruEntry).data, true
+	}
+	return nil, false
+}
+
 // Put stores data under key, evicting least-recently-used entries from the
 // key's shard until it fits. Values larger than a shard are not cached.
 func (c *Cache) Put(key string, data []byte) {

@@ -117,11 +117,16 @@ func TestRenderPoolReuseKeepsDeterminism(t *testing.T) {
 	}
 }
 
-// countingService wraps renders to observe how many actually ran.
+// TestConcurrentMissesCollapseToOneRender runs 16 concurrent batches
+// that all miss on the same two keys. Every caller of a collapsed
+// render receives the leader's slice, and every independent render
+// allocates its own, so one backing array per key across all 16 results
+// proves each key rendered once.
 func TestConcurrentMissesCollapseToOneRender(t *testing.T) {
 	s := New(0)
+	items := []Item{{7, SizeFull}, {8, SizeFull}}
 	var started sync.WaitGroup
-	var results [16][]byte
+	var results [16][][]byte
 	var wg sync.WaitGroup
 	started.Add(1)
 	for i := 0; i < len(results); i++ {
@@ -129,26 +134,25 @@ func TestConcurrentMissesCollapseToOneRender(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started.Wait()
-			data, err := s.Image(7, SizeFull)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[i] = data
+			results[i] = s.Images(items)
 		}(i)
 	}
 	started.Done()
 	wg.Wait()
-	for i := 1; i < len(results); i++ {
-		if !bytes.Equal(results[0], results[i]) {
-			t.Fatal("collapsed callers saw different bytes")
+	for i := range results {
+		for k := range items {
+			if len(results[i][k]) == 0 || &results[i][k][0] != &results[0][k][0] {
+				t.Fatalf("batch %d item %d holds a second render", i, k)
+			}
 		}
 	}
-	// All 16 requests missed the cache, but the misses collapsed: only
-	// the leader populated it, so the miss counter (recorded on Get)
-	// shows 16 while the cache holds exactly one entry rendered once.
-	if s.Cache().Len() != 1 {
-		t.Fatalf("cache holds %d entries, want 1", s.Cache().Len())
+	// Each item is one lookup, hit or miss, and the cache holds each key
+	// once.
+	if hits, misses := s.Cache().Stats(); hits+misses != int64(len(results)*len(items)) {
+		t.Fatalf("%d hits + %d misses, want %d lookups", hits, misses, len(results)*len(items))
+	}
+	if s.Cache().Len() != len(items) {
+		t.Fatalf("cache holds %d entries, want %d", s.Cache().Len(), len(items))
 	}
 }
 

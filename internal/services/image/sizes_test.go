@@ -29,15 +29,8 @@ func TestLargerSizesCostMoreBytes(t *testing.T) {
 
 func TestCacheKeysIsolateSizes(t *testing.T) {
 	s := New(0)
-	icon, err := s.Image(3, SizeIcon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := s.Image(3, SizeFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(icon, full) {
+	pngs := s.Images([]Item{{3, SizeIcon}, {3, SizeFull}})
+	if pngs[0] == nil || bytes.Equal(pngs[0], pngs[1]) {
 		t.Fatal("cache conflated sizes")
 	}
 	if s.Cache().Len() != 2 {

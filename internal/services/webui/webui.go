@@ -1,9 +1,9 @@
 // Package webui implements TeaStore's front end: HTML pages that fan out
 // to the Auth, Persistence, Recommender, and ImageProvider services. Like
-// the original, it inlines every product image as a base64 data URI; each
-// fetched image becomes one pre-escaped src attribute (imgSrc) that the
-// templates splice into its <img> tag. It is the orchestrator every user
-// request passes through.
+// the original, it fetches a page's images in one batch call and inlines
+// each as a base64 data URI: one pre-escaped src attribute (imgSrc) that
+// the templates splice into its <img> tag. It is the orchestrator every
+// user request passes through.
 package webui
 
 import (
@@ -81,34 +81,35 @@ type recKey struct {
 
 // recCache remembers the last good recommendation strip per (user,
 // anchor product) so a dead Recommender degrades to slightly stale
-// suggestions instead of an empty section.
+// suggestions instead of an empty section. It holds products; icons are
+// fetched with each page.
 type recCache struct {
 	mu sync.RWMutex
-	m  map[recKey][]productCard
+	m  map[recKey][]db.Product
 }
 
-func (rc *recCache) get(key recKey) ([]productCard, bool) {
+func (rc *recCache) get(key recKey) ([]db.Product, bool) {
 	rc.mu.RLock()
 	defer rc.mu.RUnlock()
-	cards, ok := rc.m[key]
-	return cards, ok
+	products, ok := rc.m[key]
+	return products, ok
 }
 
-func (rc *recCache) put(key recKey, cards []productCard) {
-	if len(cards) == 0 {
+func (rc *recCache) put(key recKey, products []db.Product) {
+	if len(products) == 0 {
 		return
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if rc.m == nil {
-		rc.m = map[recKey][]productCard{}
+		rc.m = map[recKey][]db.Product{}
 	}
 	if len(rc.m) >= recCacheCap {
 		// Full reset beats tracking LRU order for a cache this cheap to
 		// refill.
-		rc.m = map[recKey][]productCard{}
+		rc.m = map[recKey][]db.Product{}
 	}
-	rc.m[key] = cards
+	rc.m[key] = products
 }
 
 // Service is one WebUI instance.
@@ -211,56 +212,43 @@ type productCard struct {
 	Img   template.HTMLAttr
 }
 
-// maxImageFanout bounds how many image fetches one page issues
-// concurrently: enough to hide latency across a product grid, small
-// enough that a 100-card page cannot spike goroutines and in-flight
-// connections against the image service.
-const maxImageFanout = 8
-
-// fetchImages loads images for products concurrently through a
-// semaphore-bounded pool, returning src attributes aligned with the
-// input. Failures yield the gray placeholder rather than failing the
-// page or emitting broken image tags.
-func (s *Service) fetchImages(ctx context.Context, products []db.Product, size imagesvc.Size) []template.HTMLAttr {
-	out := make([]template.HTMLAttr, len(products))
-	sem := make(chan struct{}, maxImageFanout)
-	var wg sync.WaitGroup
-	for i, p := range products {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, id int64) {
-			defer func() { <-sem; wg.Done() }()
-			out[i] = s.image(ctx, id, size)
-		}(i, p.ID)
+// images fetches one page's images in a single batch call: the lead
+// items, then one image of size per product. It returns src attributes
+// in that order; a failed call or item yields the gray placeholder
+// rather than failing the page or emitting a broken image tag.
+func (s *Service) images(ctx context.Context, products []db.Product, size imagesvc.Size, lead ...imagesvc.Item) []template.HTMLAttr {
+	items := lead
+	for _, p := range products {
+		items = append(items, imagesvc.Item{ID: p.ID, Size: size})
 	}
-	wg.Wait()
+	pngs, err := s.backends.Image.Images(ctx, items)
+	out := make([]template.HTMLAttr, len(items))
+	for i := range out {
+		out[i] = placeholderImg
+		if err == nil && pngs[i] != nil {
+			out[i] = imgSrc(pngs[i])
+		}
+	}
 	return out
 }
 
-// image fetches one product image as a src attribute, or the placeholder's
-// if the fetch fails.
-func (s *Service) image(ctx context.Context, id int64, size imagesvc.Size) template.HTMLAttr {
-	data, err := s.backends.Image.Image(ctx, id, size)
-	if err != nil {
-		return placeholderImg
-	}
-	return imgSrc(data)
-}
-
-func (s *Service) cards(ctx context.Context, products []db.Product, size imagesvc.Size) []productCard {
-	images := s.fetchImages(ctx, products, size)
-	cards := make([]productCard, len(products))
+// cards builds grid tiles; imgs, when not nil, is aligned with products.
+func cards(products []db.Product, imgs []template.HTMLAttr) []productCard {
+	out := make([]productCard, len(products))
 	for i, p := range products {
-		cards[i] = productCard{ID: p.ID, Name: p.Name, Price: price(p.PriceCents), Img: images[i]}
+		out[i] = productCard{ID: p.ID, Name: p.Name, Price: price(p.PriceCents)}
+		if imgs != nil {
+			out[i].Img = imgs[i]
+		}
 	}
-	return cards
+	return out
 }
 
-// recommendedCards resolves recommendation IDs into display cards. A
-// failed Recommender call falls back to the last good strip rendered for
-// the same user and anchor product — stale suggestions beat an empty
+// recommended resolves a recommendation strip into products. A failed
+// Recommender call falls back to the last good strip fetched for the
+// same user and anchor product — stale suggestions beat an empty
 // section.
-func (s *Service) recommendedCards(ctx context.Context, userID int64, current []int64, max int, withImages bool) []productCard {
+func (s *Service) recommended(ctx context.Context, userID int64, current []int64, max int) []db.Product {
 	key := recKey{userID: userID}
 	if len(current) > 0 {
 		key.anchor = current[0]
@@ -278,17 +266,8 @@ func (s *Service) recommendedCards(ctx context.Context, userID int64, current []
 		cached, _ := s.recFall.get(key)
 		return cached
 	}
-	var cards []productCard
-	if withImages {
-		cards = s.cards(ctx, products, imagesvc.SizeIcon)
-	} else {
-		cards = make([]productCard, len(products))
-		for i, p := range products {
-			cards[i] = productCard{ID: p.ID, Name: p.Name, Price: price(p.PriceCents)}
-		}
-	}
-	s.recFall.put(key, cards)
-	return cards
+	s.recFall.put(key, products)
+	return products
 }
 
 // Mux returns the storefront routes.
@@ -355,7 +334,7 @@ func (s *Service) handleCategory(w http.ResponseWriter, r *http.Request) {
 	}{
 		s.nav(r.Context(), cat.Name, sess),
 		cat,
-		s.cards(r.Context(), listing.Products, imagesvc.SizePreview),
+		cards(listing.Products, s.images(r.Context(), listing.Products, imagesvc.SizePreview)),
 		listing.Total,
 		page, page - 1, page + 1,
 		(page+1)*productsPerPage < listing.Total,
@@ -374,11 +353,11 @@ func (s *Service) handleProduct(w http.ResponseWriter, r *http.Request) {
 		s.renderError(w, r, http.StatusNotFound, "product %d: %v", id, err)
 		return
 	}
+	recs := s.recommended(r.Context(), sess.claims.UserID, []int64{p.ID}, 4)
+	// One batch carries the full image and the strip's icons.
+	imgs := s.images(r.Context(), recs, imagesvc.SizeIcon, imagesvc.Item{ID: p.ID, Size: imagesvc.SizeFull})
 	render(w, "product", productPage{
-		s.nav(r.Context(), p.Name, sess),
-		p, price(p.PriceCents),
-		s.image(r.Context(), p.ID, imagesvc.SizeFull),
-		s.recommendedCards(r.Context(), sess.claims.UserID, []int64{p.ID}, 4, true),
+		s.nav(r.Context(), p.Name, sess), p, price(p.PriceCents), imgs[0], cards(recs, imgs[1:]),
 	})
 }
 
@@ -473,7 +452,7 @@ func (s *Service) handleCart(w http.ResponseWriter, r *http.Request) {
 	}{
 		s.nav(r.Context(), "Cart", sess),
 		lines, price(total),
-		s.recommendedCards(r.Context(), sess.claims.UserID, ids, 3, false),
+		cards(s.recommended(r.Context(), sess.claims.UserID, ids, 3), nil),
 	})
 }
 

@@ -4,7 +4,9 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/cookiejar"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -24,9 +26,12 @@ type fixture struct {
 	svc   *Service
 	ui    *httptest.Server
 	img   *httptest.Server
+	rec   *httptest.Server
 	store *db.Store
 	// categoryGets counts GET /categories calls persistence served.
 	categoryGets atomic.Int64
+	// imageGets counts GET /images calls the image service served.
+	imageGets atomic.Int64
 }
 
 func newFixture(t testing.TB) *fixture {
@@ -64,16 +69,22 @@ func newFixture(t testing.TB) *fixture {
 	if _, err := recSvc.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	recSrv := httptest.NewServer(recSvc.Mux())
-	t.Cleanup(recSrv.Close)
+	f.rec = httptest.NewServer(recSvc.Mux())
+	t.Cleanup(f.rec.Close)
 
-	f.img = httptest.NewServer(imagesvc.New(0).Mux())
+	imgMux := imagesvc.New(0).Mux()
+	f.img = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && r.URL.Path == "/images" {
+			f.imageGets.Add(1)
+		}
+		imgMux.ServeHTTP(w, r)
+	}))
 	t.Cleanup(f.img.Close)
 
 	ui, err := New(Backends{
 		Auth:        auth.NewClient(authSrv.URL, hc),
 		Persistence: persistClient,
-		Recommender: recommender.NewClient(recSrv.URL, hc),
+		Recommender: recommender.NewClient(f.rec.URL, hc),
 		Image:       imagesvc.NewClient(f.img.URL, hc),
 	})
 	if err != nil {
@@ -142,6 +153,70 @@ func TestHomeFetchesCategoriesOnce(t *testing.T) {
 		if got := f.categoryGets.Load(); got != int64(i) {
 			t.Fatalf("%d home pages made %d GET /categories calls, want %d", i, got, i)
 		}
+	}
+}
+
+// TestOneImageCallPerPage counts GET /images per page: a category page
+// fetches its previews, and a product page its full image and strip
+// icons, in one batch each; pages without images make none.
+func TestOneImageCallPerPage(t *testing.T) {
+	f := newFixture(t)
+	jar, _ := cookiejar.New(nil)
+	client := &http.Client{Jar: jar}
+	resp, err := client.PostForm(f.ui.URL+"/cart/add", url.Values{"productId": {strings.TrimPrefix(f.productPath(t), "/product/")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	for _, c := range []struct {
+		path string
+		want int64
+	}{{"/category/1", 1}, {f.productPath(t), 1}, {"/", 0}, {"/cart", 0}, {"/category/1?page=9", 0}} {
+		before := f.imageGets.Load()
+		resp, err := client.Get(f.ui.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s = %d", c.path, resp.StatusCode)
+		}
+		if c.path == "/cart" && !strings.Contains(string(body), "<th>Total</th>") {
+			t.Fatal("cart page lacks the added line")
+		}
+		if got := f.imageGets.Load() - before; got != c.want {
+			t.Errorf("%s made %d image calls, want %d", c.path, got, c.want)
+		}
+	}
+}
+
+// TestProductImageSurvivesRecommenderOutage: with the Recommender down,
+// a product page serves the cached strip beside its full image, both
+// from the page's one image call.
+func TestProductImageSurvivesRecommenderOutage(t *testing.T) {
+	f := newFixture(t)
+	path := f.productPath(t)
+	id, _ := strconv.ParseInt(strings.TrimPrefix(path, "/product/"), 10, 64)
+	full, err := imagesvc.Render(id, imagesvc.SizeFull.Pixels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fresh := f.get(t, path)
+	if !strings.Contains(fresh, "<img "+string(imgSrc(full))) {
+		t.Fatal("product page lacks its full image")
+	}
+	if n := strings.Count(fresh, "<img "); n < 2 {
+		t.Fatalf("product page has %d images, want the full image and a strip", n)
+	}
+	f.rec.Close()
+	before := f.imageGets.Load()
+	code, stale := f.get(t, path)
+	if code != 200 || stale != fresh {
+		t.Fatalf("with the Recommender down the page = %d and differs from the cached strip's", code)
+	}
+	if got := f.imageGets.Load() - before; got != 1 {
+		t.Fatalf("product page made %d image calls, want 1", got)
 	}
 }
 

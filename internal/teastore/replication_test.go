@@ -109,9 +109,9 @@ func TestStopReplicaDeregistersImmediately(t *testing.T) {
 }
 
 // imageTarget returns a balanced URL that exercises the image service's
-// resize path (cache-friendly, idempotent).
+// batch path with a one-icon batch (cache-friendly, idempotent).
 func imageTarget(i int) string {
-	return httpkit.BalancedURL("image") + fmt.Sprintf("/image/%d?size=icon", 1+i%12)
+	return httpkit.BalancedURL("image") + fmt.Sprintf("/images?item=%d:icon", 1+i%12)
 }
 
 // driveImages runs a closed-loop population of workers fetching product

@@ -83,7 +83,7 @@ func TestRuntimeReplicaInheritsServiceCap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Get(fresh.URL() + "/image/1?size=icon")
+			resp, err := http.Get(fresh.URL() + "/images?item=1:icon")
 			if err != nil {
 				t.Errorf("direct image fetch: %v", err)
 				return
