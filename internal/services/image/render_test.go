@@ -3,7 +3,9 @@ package image
 import (
 	"bytes"
 	"compress/zlib"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"image"
@@ -57,41 +59,96 @@ func RenderReference(productID int64, px int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// oracleIDs cover every value paramsFor draws: fx and fy in 2…6, rings
+// in 3…8. Product 977 at 400 px is where mirrored columns whose u²
+// differ in the last bit first show if the radial table shares them.
+var oracleIDs = []int64{0, 1, 42, 977, -3, 26, 29, 30}
+
 // TestRenderMatchesReference decodes both implementations' PNGs and
 // compares every pixel, at every size the store serves and a few odd
-// ones: the direct PNG writer must be an exact behavioural clone of the
-// original per-pixel SetRGBA renderer.
+// ones, for products that between them draw every parameter value: the
+// direct PNG writer must be an exact behavioural clone of the original
+// per-pixel SetRGBA renderer.
 func TestRenderMatchesReference(t *testing.T) {
-	for _, px := range []int{1, 2, 7, 64, 125, 256, 400} {
-		for _, id := range []int64{0, 1, 42, 977, -3} {
-			fast, err := Render(id, px)
-			if err != nil {
-				t.Fatalf("Render(%d,%d): %v", id, px, err)
-			}
-			ref, err := RenderReference(id, px)
-			if err != nil {
-				t.Fatalf("RenderReference(%d,%d): %v", id, px, err)
-			}
-			fi, err := png.Decode(bytes.NewReader(fast))
-			if err != nil {
-				t.Fatalf("fast PNG invalid: %v", err)
-			}
-			ri, err := png.Decode(bytes.NewReader(ref))
-			if err != nil {
-				t.Fatalf("reference PNG invalid: %v", err)
-			}
-			if fi.Bounds() != ri.Bounds() {
-				t.Fatalf("bounds differ: %v vs %v", fi.Bounds(), ri.Bounds())
-			}
-			for y := 0; y < px; y++ {
-				for x := 0; x < px; x++ {
-					if fi.At(x, y) != ri.At(x, y) {
-						t.Fatalf("pixel (%d,%d) of product %d at %dpx differs: %v vs %v",
-							x, y, id, px, fi.At(x, y), ri.At(x, y))
-					}
-				}
+	fx, fy, rings := map[float64]bool{}, map[float64]bool{}, map[float64]bool{}
+	for _, id := range oracleIDs {
+		p := paramsFor(id)
+		fx[p.fx], fy[p.fy], rings[p.rings] = true, true, true
+	}
+	if len(fx) != 5 || len(fy) != 5 || len(rings) != 6 {
+		t.Fatalf("oracle ids draw %d fx, %d fy, %d rings values; want 5, 5, 6", len(fx), len(fy), len(rings))
+	}
+	for _, px := range []int{1, 2, 3, 5, 7, 64, 125, 256, 399, 400, 401} {
+		for _, id := range oracleIDs {
+			matchReference(t, id, px)
+		}
+	}
+}
+
+// TestRenderMatchesReferenceEverySmallSize runs the oracle at every edge
+// length from 1 to 130 px, so every width of the radial table, and every
+// offset into its packed triangle, is checked at least once.
+func TestRenderMatchesReferenceEverySmallSize(t *testing.T) {
+	for px := 1; px <= 130; px++ {
+		matchReference(t, 977, px)
+	}
+}
+
+// matchReference fails t unless Render and RenderReference decode to
+// the same pixels for one product at one size.
+func matchReference(t *testing.T, id int64, px int) {
+	t.Helper()
+	var imgs [2]*image.RGBA
+	for i, render := range []struct {
+		name string
+		fn   func(int64, int) ([]byte, error)
+	}{{"Render", Render}, {"RenderReference", RenderReference}} {
+		data, err := render.fn(id, px)
+		if err != nil {
+			t.Fatalf("%s(%d,%d): %v", render.name, id, px, err)
+		}
+		img, err := png.Decode(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s(%d,%d): invalid PNG: %v", render.name, id, px, err)
+		}
+		if imgs[i], _ = img.(*image.RGBA); imgs[i] == nil {
+			t.Fatalf("%s(%d,%d) decodes to %T, want *image.RGBA", render.name, id, px, img)
+		}
+	}
+	fi, ri := imgs[0], imgs[1]
+	if fi.Bounds() != ri.Bounds() {
+		t.Fatalf("bounds differ: %v vs %v", fi.Bounds(), ri.Bounds())
+	}
+	if bytes.Equal(fi.Pix, ri.Pix) {
+		return
+	}
+	for y := 0; y < px; y++ {
+		for x := 0; x < px; x++ {
+			if fi.At(x, y) != ri.At(x, y) {
+				t.Fatalf("pixel (%d,%d) of product %d at %dpx differs: %v vs %v",
+					x, y, id, px, fi.At(x, y), ri.At(x, y))
 			}
 		}
+	}
+}
+
+// TestRenderGolden pins Render's exact bytes over 53 products at eight
+// sizes. The image cache holds these bytes, so a change to the render
+// that alters them must say so here rather than only in the pixels.
+func TestRenderGolden(t *testing.T) {
+	h := sha256.New()
+	for id := int64(-3); id <= 49; id++ {
+		for _, px := range []int{1, 3, 7, 64, 125, 256, 399, 400} {
+			data, err := Render(id, px)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(data)
+		}
+	}
+	const want = "0ce120136a8ce5a94799d42f8083b09fb1d8628514d63a4355149adbe6f9de43"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("SHA-256 over the golden renders = %s, want %s", got, want)
 	}
 }
 
@@ -344,25 +401,27 @@ func TestFlightGroupCollapses(t *testing.T) {
 }
 
 // TestRenderAllocCeiling pins the pooled render's steady-state allocation
-// budget at the preview size (1 alloc/op measured): the scratch rows and
-// the zlib stream come from one pool, so only the PNG bytes are
+// budget across sizes (1 alloc/op measured): the scratch rows, the radial
+// table and the zlib stream come from one pool and, once grown to the
+// largest size, serve every smaller one, so only the PNG bytes are
 // allocated per call.
 func TestRenderAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
 	}
-	if _, err := Render(1, 125); err != nil { // warm the pools
+	if _, err := Render(1, 400); err != nil { // warm the pools
 		t.Fatal(err)
 	}
+	sizes := []int{400, 125, 64}
 	i := 0
-	allocs := testing.AllocsPerRun(20, func() {
+	allocs := testing.AllocsPerRun(30, func() {
 		i++
-		if _, err := Render(int64(i%50), 125); err != nil {
+		if _, err := Render(int64(i%50), sizes[i%len(sizes)]); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 1 {
-		t.Fatalf("Render(…,125) allocs/op = %.1f, want ≤ 1", allocs)
+		t.Fatalf("Render(…, 400/125/64) allocs/op = %.1f, want ≤ 1", allocs)
 	}
 }
 
