@@ -449,7 +449,9 @@ func TestRunLoopScalesUnderScript(t *testing.T) {
 	ft := newFakeTarget(t)
 	inst := ft.add("image")
 	keepSaturated := make(chan struct{})
+	saturatorDone := make(chan struct{})
 	go func() {
+		defer close(saturatorDone)
 		for {
 			select {
 			case <-keepSaturated:
@@ -483,7 +485,11 @@ func TestRunLoopScalesUnderScript(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return len(ft.ReplicaURLs("image")) == 2 },
 		"service never scaled to 2 under saturation")
 
+	// Wait for the saturating goroutine to exit: a saturate() it was
+	// already running would otherwise land after idle() and pin the
+	// instance at full load.
 	close(keepSaturated)
+	<-saturatorDone
 	idle(inst)
 	ft.mu.Lock()
 	for _, i := range ft.replicas["image"] {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/base64"
 	"html/template"
-	"strings"
+	"net/http"
+	"slices"
+	"strconv"
 	"sync"
 )
 
@@ -14,7 +16,8 @@ var pageTemplates = template.Must(template.New("layout").Parse(pageSource))
 // pageSource is the template text. The layout deliberately mirrors the
 // original TeaStore: a storefront with category navigation, product grids
 // with embedded base64 preview images, a cart, and a profile page. Every
-// product image is an imgSrc attribute spliced into its <img> tag.
+// product image is an imgMarker that render replaces with the image's
+// src attribute.
 const pageSource = `
 {{define "header"}}<!DOCTYPE html>
 <html lang="en">
@@ -151,26 +154,98 @@ input{padding:0.35em;margin:0.2em 0}
 {{template "footer" .}}{{end}}
 `
 
-// imgPrefix opens every attribute imgSrc builds.
+// imgMarker is what every <img {{.Img}} renders: one NUL byte that
+// render replaces with the image's src attribute. Nothing else on a page
+// can produce a NUL, because html/template rewrites one in any untrusted
+// string in every context (text to U+FFFD, attributes to &#xfffd;, URLs
+// to %00, JS to \u0000). Only a trusted type bypasses that, so imgMarker
+// must stay the webui's only trusted-type value.
+const imgMarker = template.HTMLAttr("\x00")
+
+// imgPrefix opens every attribute appendImgSrc writes.
 const imgPrefix = `src="data:image/png;base64,`
 
-// maxPooledScratch bounds the encode buffers b64Scratch keeps. The
-// largest full-size product image encodes to about 210 KB; a larger
-// buffer is dropped after use rather than pinned in the pool.
-const maxPooledScratch = 256 << 10
+// pageTail is how much of a page render holds back for its second
+// write. That tail stays in net/http's 2 KiB response buffer until the
+// handler returns, so no client has the whole page before the server
+// has recorded the request's span and latency sample.
+const pageTail = 1 << 10
 
-// b64Scratch recycles imgSrc's base64 encode buffers.
-var b64Scratch = sync.Pool{New: func() any { return new([]byte) }}
+// maxPooledBuf bounds the buffers the pools keep. The largest page is
+// a few hundred KB; a larger buffer is dropped after use rather than
+// pinned in a pool.
+const maxPooledBuf = 1 << 20
 
-// imgSrc returns the complete src attribute of a PNG data URI, escaped
-// exactly as html/template escapes src="data:image/png;base64,{{.}}": its
-// URL normalizer passes the base64 alphabet through and its attribute
-// escaper rewrites only '+', as "&#43;". Spliced into a tag as a
-// template.HTMLAttr, the attribute is copied verbatim, so the ~170 KB of
-// base64 on a page is no longer scanned twice per render. HTMLAttr is
-// trusted content: the argument must be image bytes the webui encodes
-// itself, never a request or backend string.
-func imgSrc(png []byte) template.HTMLAttr {
+// pageBuf is the buffer a page is assembled in: the template's output,
+// then the spliced body after it.
+type pageBuf []byte
+
+func (b *pageBuf) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
+}
+
+var (
+	// pageBufs recycles render's page buffers.
+	pageBufs = sync.Pool{New: func() any { return new(pageBuf) }}
+	// b64Scratch recycles appendImgSrc's base64 encode buffers.
+	b64Scratch = sync.Pool{New: func() any { return new([]byte) }}
+)
+
+// render answers with one page. It executes the named template into a
+// pooled buffer, splices pngs in order at the page's image markers, and
+// sends the result with a Content-Length in two writes: all but the last
+// pageTail bytes, then that tail. A template error, or a marker count
+// that differs from len(pngs), answers a plain 500 carrying none of the
+// page, never a truncated or misaligned one.
+func render(w http.ResponseWriter, status int, name string, data any, pngs [][]byte) {
+	buf := pageBufs.Get().(*pageBuf)
+	defer func() {
+		if cap(*buf) <= maxPooledBuf {
+			pageBufs.Put(buf)
+		}
+	}()
+	*buf = (*buf)[:0]
+	if err := pageTemplates.ExecuteTemplate(buf, name, data); err != nil ||
+		bytes.Count(*buf, []byte(imgMarker)) != len(pngs) {
+		http.Error(w, http.StatusText(http.StatusInternalServerError), http.StatusInternalServerError)
+		return
+	}
+	skel := len(*buf)
+	grow := skel
+	for _, png := range pngs {
+		// '+' is about 1/64 of base64 and grows to 5 bytes: 17/16 covers it.
+		grow += len(imgPrefix) + base64.StdEncoding.EncodedLen(len(png))*17/16 + 1
+	}
+	page := slices.Grow(*buf, grow)
+	rest := page[:skel]
+	for _, png := range pngs {
+		i := bytes.IndexByte(rest, imgMarker[0])
+		page = appendImgSrc(append(page, rest[:i]...), png)
+		rest = rest[i+1:]
+	}
+	page = append(page, rest...)
+	*buf = page
+	body := page[skel:]
+
+	h := w.Header()
+	h.Set("Content-Type", "text/html; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	split := max(len(body)-pageTail, 0)
+	if split > 0 {
+		_, _ = w.Write(body[:split])
+	}
+	_, _ = w.Write(body[split:])
+}
+
+// appendImgSrc appends the complete src attribute of png's data URI to
+// dst, escaped exactly as html/template escapes
+// src="data:image/png;base64,{{.}}": its URL normalizer passes the base64
+// alphabet through and its attribute escaper rewrites only '+', as
+// "&#43;". Spliced in at a marker, the ~170 KB of base64 on a page is
+// copied once instead of being scanned and rewritten by the template.
+func appendImgSrc(dst, png []byte) []byte {
 	scratch := b64Scratch.Get().(*[]byte)
 	n := base64.StdEncoding.EncodedLen(len(png))
 	if cap(*scratch) < n {
@@ -179,24 +254,19 @@ func imgSrc(png []byte) template.HTMLAttr {
 	enc := (*scratch)[:n]
 	base64.StdEncoding.Encode(enc, png)
 
-	const plusEntity = "&#43;"
-	var b strings.Builder
-	b.Grow(len(imgPrefix) + n + (len(plusEntity)-1)*bytes.Count(enc, []byte{'+'}) + 1)
-	b.WriteString(imgPrefix)
+	dst = append(dst, imgPrefix...)
 	for {
 		i := bytes.IndexByte(enc, '+')
 		if i < 0 {
 			break
 		}
-		b.Write(enc[:i])
-		b.WriteString(plusEntity)
+		dst = append(append(dst, enc[:i]...), "&#43;"...)
 		enc = enc[i+1:]
 	}
-	b.Write(enc)
-	b.WriteByte('"')
+	dst = append(append(dst, enc...), '"')
 
-	if cap(*scratch) <= maxPooledScratch {
+	if cap(*scratch) <= maxPooledBuf {
 		b64Scratch.Put(scratch)
 	}
-	return template.HTMLAttr(b.String())
+	return dst
 }

@@ -1,9 +1,11 @@
 // Package webui implements TeaStore's front end: HTML pages that fan out
 // to the Auth, Persistence, Recommender, and ImageProvider services. Like
 // the original, it fetches a page's images in one batch call and inlines
-// each as a base64 data URI: one pre-escaped src attribute (imgSrc) that
-// the templates splice into its <img> tag. It is the orchestrator every
-// user request passes through.
+// each as a base64 data URI. Every page goes through render: the template
+// writes a one-byte marker on each <img> tag into a pooled buffer, each
+// image's pre-escaped src attribute is appended in its marker's place,
+// and the page is sent with a Content-Length in two writes. It is the
+// orchestrator every user request passes through.
 package webui
 
 import (
@@ -54,18 +56,15 @@ const (
 
 const productsPerPage = 8
 
-// placeholderImageB64 is an 8×8 light-gray PNG embedded when the
+// placeholderPNG is an 8×8 light-gray PNG embedded when the
 // ImageProvider is unreachable, so pages degrade to visible placeholders
 // instead of broken image tags.
-const placeholderImageB64 = "iVBORw0KGgoAAAANSUhEUgAAAAgAAAAICAIAAABLbSncAAAAGUlEQVR4nGK5ceMGAzbAhFV00EoAAgAA///+nwKb+G5vKAAAAABJRU5ErkJggg=="
-
-// placeholderImg is the placeholder's src attribute, built once.
-var placeholderImg = func() template.HTMLAttr {
-	png, err := base64.StdEncoding.DecodeString(placeholderImageB64)
+var placeholderPNG = func() []byte {
+	png, err := base64.StdEncoding.DecodeString("iVBORw0KGgoAAAANSUhEUgAAAAgAAAAICAIAAABLbSncAAAAGUlEQVR4nGK5ceMGAzbAhFV00EoAAgAA///+nwKb+G5vKAAAAABJRU5ErkJggg==")
 	if err != nil {
 		panic(err)
 	}
-	return imgSrc(png)
+	return png
 }()
 
 // recCacheCap bounds the recommendation fallback cache.
@@ -190,55 +189,52 @@ func price(cents int64) string {
 
 // renderError writes the error page.
 func (s *Service) renderError(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	w.WriteHeader(status)
-	_ = pageTemplates.ExecuteTemplate(w, "error", struct {
+	render(w, status, "error", struct {
 		nav
 		Message string
-	}{s.nav(r.Context(), "Error", session{}), fmt.Sprintf(format, args...)})
+	}{s.nav(r.Context(), "Error", session{}), fmt.Sprintf(format, args...)}, nil)
 }
 
-func render(w http.ResponseWriter, name string, data any) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_ = pageTemplates.ExecuteTemplate(w, name, data)
-}
-
-// productCard is a grid tile with an embedded image; Img is empty on
-// tiles rendered without one.
+// productCard is a grid tile; png is the image render splices in at the
+// card's Img marker, nil on tiles rendered without one.
 type productCard struct {
 	ID    int64
 	Name  string
 	Price string
-	Img   template.HTMLAttr
+	png   []byte
 }
 
+// Img marks where render splices the card's image.
+func (productCard) Img() template.HTMLAttr { return imgMarker }
+
 // images fetches one page's images in a single batch call: the lead
-// items, then one image of size per product. It returns src attributes
-// in that order; a failed call or item yields the gray placeholder
-// rather than failing the page or emitting a broken image tag.
-func (s *Service) images(ctx context.Context, products []db.Product, size imagesvc.Size, lead ...imagesvc.Item) []template.HTMLAttr {
+// items, then one image of size per product, and returns them in that
+// order. A failed call or item yields the gray placeholder rather than
+// failing the page or emitting a broken image tag.
+func (s *Service) images(ctx context.Context, products []db.Product, size imagesvc.Size, lead ...imagesvc.Item) [][]byte {
 	items := lead
 	for _, p := range products {
 		items = append(items, imagesvc.Item{ID: p.ID, Size: size})
 	}
 	pngs, err := s.backends.Image.Images(ctx, items)
-	out := make([]template.HTMLAttr, len(items))
-	for i := range out {
-		out[i] = placeholderImg
-		if err == nil && pngs[i] != nil {
-			out[i] = imgSrc(pngs[i])
+	if err != nil {
+		pngs = make([][]byte, len(items))
+	}
+	for i, png := range pngs {
+		if png == nil {
+			pngs[i] = placeholderPNG
 		}
 	}
-	return out
+	return pngs
 }
 
-// cards builds grid tiles; imgs, when not nil, is aligned with products.
-func cards(products []db.Product, imgs []template.HTMLAttr) []productCard {
+// cards builds grid tiles; pngs, when not nil, is aligned with products.
+func cards(products []db.Product, pngs [][]byte) []productCard {
 	out := make([]productCard, len(products))
 	for i, p := range products {
 		out[i] = productCard{ID: p.ID, Name: p.Name, Price: price(p.PriceCents)}
-		if imgs != nil {
-			out[i].Img = imgs[i]
+		if pngs != nil {
+			out[i].png = pngs[i]
 		}
 	}
 	return out
@@ -294,11 +290,11 @@ func (s *Service) handleHome(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The cards and the nav show the same list: one fetch serves both.
-	render(w, "home", struct {
+	render(w, http.StatusOK, "home", struct {
 		nav
 		Tagline string
 		Cards   []db.Category
-	}{sess.nav("Home", cats), "Fine teas, microservice fresh.", cats})
+	}{sess.nav("Home", cats), "Fine teas, microservice fresh.", cats}, nil)
 }
 
 func (s *Service) handleCategory(w http.ResponseWriter, r *http.Request) {
@@ -322,7 +318,8 @@ func (s *Service) handleCategory(w http.ResponseWriter, r *http.Request) {
 		s.renderError(w, r, http.StatusBadGateway, "products unavailable: %v", err)
 		return
 	}
-	render(w, "category", struct {
+	pngs := s.images(r.Context(), listing.Products, imagesvc.SizePreview)
+	render(w, http.StatusOK, "category", struct {
 		nav
 		Category db.Category
 		Products []productCard
@@ -334,11 +331,11 @@ func (s *Service) handleCategory(w http.ResponseWriter, r *http.Request) {
 	}{
 		s.nav(r.Context(), cat.Name, sess),
 		cat,
-		cards(listing.Products, s.images(r.Context(), listing.Products, imagesvc.SizePreview)),
+		cards(listing.Products, pngs),
 		listing.Total,
 		page, page - 1, page + 1,
 		(page+1)*productsPerPage < listing.Total,
-	})
+	}, pngs)
 }
 
 func (s *Service) handleProduct(w http.ResponseWriter, r *http.Request) {
@@ -355,27 +352,31 @@ func (s *Service) handleProduct(w http.ResponseWriter, r *http.Request) {
 	}
 	recs := s.recommended(r.Context(), sess.claims.UserID, []int64{p.ID}, 4)
 	// One batch carries the full image and the strip's icons.
-	imgs := s.images(r.Context(), recs, imagesvc.SizeIcon, imagesvc.Item{ID: p.ID, Size: imagesvc.SizeFull})
-	render(w, "product", productPage{
-		s.nav(r.Context(), p.Name, sess), p, price(p.PriceCents), imgs[0], cards(recs, imgs[1:]),
-	})
+	pngs := s.images(r.Context(), recs, imagesvc.SizeIcon, imagesvc.Item{ID: p.ID, Size: imagesvc.SizeFull})
+	render(w, http.StatusOK, "product", productPage{
+		s.nav(r.Context(), p.Name, sess), p, price(p.PriceCents), cards(recs, pngs[1:]), pngs[0],
+	}, pngs)
 }
 
-// productPage is the product page's data.
+// productPage is the product page's data; png is the full image render
+// splices in at its Img marker.
 type productPage struct {
 	nav
 	Product     db.Product
 	Price       string
-	Img         template.HTMLAttr
 	Recommended []productCard
+	png         []byte
 }
+
+// Img marks where render splices the product's full image.
+func (productPage) Img() template.HTMLAttr { return imgMarker }
 
 func (s *Service) handleLoginForm(w http.ResponseWriter, r *http.Request) {
 	sess := s.loadSession(r)
-	render(w, "login", struct {
+	render(w, http.StatusOK, "login", struct {
 		nav
 		Message, Email string
-	}{s.nav(r.Context(), "Login", sess), "", ""})
+	}{s.nav(r.Context(), "Login", sess), "", ""}, nil)
 }
 
 func (s *Service) handleLogin(w http.ResponseWriter, r *http.Request) {
@@ -386,11 +387,10 @@ func (s *Service) handleLogin(w http.ResponseWriter, r *http.Request) {
 	email := r.PostFormValue("email")
 	result, err := s.backends.Auth.Login(r.Context(), email, r.PostFormValue("password"))
 	if err != nil {
-		w.WriteHeader(http.StatusUnauthorized)
-		render(w, "login", struct {
+		render(w, http.StatusUnauthorized, "login", struct {
 			nav
 			Message, Email string
-		}{s.nav(r.Context(), "Login", session{}), "Invalid credentials.", email})
+		}{s.nav(r.Context(), "Login", session{}), "Invalid credentials.", email}, nil)
 		return
 	}
 	http.SetCookie(w, &http.Cookie{
@@ -444,7 +444,7 @@ func (s *Service) handleCart(w http.ResponseWriter, r *http.Request) {
 		total += p.PriceCents * int64(it.Quantity)
 		ids = append(ids, p.ID)
 	}
-	render(w, "cart", struct {
+	render(w, http.StatusOK, "cart", struct {
 		nav
 		Lines       []cartLine
 		Total       string
@@ -453,7 +453,7 @@ func (s *Service) handleCart(w http.ResponseWriter, r *http.Request) {
 		s.nav(r.Context(), "Cart", sess),
 		lines, price(total),
 		cards(s.recommended(r.Context(), sess.claims.UserID, ids, 3), nil),
-	})
+	}, nil)
 }
 
 func (s *Service) handleCartAdd(w http.ResponseWriter, r *http.Request) {
@@ -519,11 +519,11 @@ func (s *Service) handleCheckout(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	http.SetCookie(w, &http.Cookie{Name: cookieCart, Value: "", Path: "/", MaxAge: -1})
-	render(w, "checkedout", struct {
+	render(w, http.StatusOK, "checkedout", struct {
 		nav
 		OrderID int64
 		Total   string
-	}{s.nav(r.Context(), "Order placed", session{loggedIn: sess.loggedIn, claims: sess.claims}), order.ID, price(order.TotalCents)})
+	}{s.nav(r.Context(), "Order placed", session{loggedIn: sess.loggedIn, claims: sess.claims}), order.ID, price(order.TotalCents)}, nil)
 }
 
 func (s *Service) handleProfile(w http.ResponseWriter, r *http.Request) {
@@ -552,9 +552,9 @@ func (s *Service) handleProfile(w http.ResponseWriter, r *http.Request) {
 	for i, o := range orders {
 		rows[i] = row{ID: o.ID, Placed: o.PlacedAt.Format("2006-01-02 15:04"), Items: len(o.Items), Total: price(o.TotalCents)}
 	}
-	render(w, "profile", struct {
+	render(w, http.StatusOK, "profile", struct {
 		nav
 		RealName, Email string
 		Orders          []row
-	}{s.nav(r.Context(), "Profile", sess), user.RealName, user.Email, rows})
+	}{s.nav(r.Context(), "Profile", sess), user.RealName, user.Email, rows}, nil)
 }

@@ -203,7 +203,7 @@ func TestProductImageSurvivesRecommenderOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, fresh := f.get(t, path)
-	if !strings.Contains(fresh, "<img "+string(imgSrc(full))) {
+	if !strings.Contains(fresh, "<img "+string(appendImgSrc(nil, full))) {
 		t.Fatal("product page lacks its full image")
 	}
 	if n := strings.Count(fresh, "<img "); n < 2 {
@@ -228,7 +228,7 @@ func TestImagesDegradeToPlaceholder(t *testing.T) {
 		if code != 200 {
 			t.Fatalf("%s = %d with the image service down", path, code)
 		}
-		if !strings.Contains(body, "<img "+string(placeholderImg)) {
+		if !strings.Contains(body, "<img "+string(appendImgSrc(nil, placeholderPNG))) {
 			t.Errorf("%s: no placeholder image", path)
 		}
 		if strings.Contains(body, `base64,"`) {
@@ -327,3 +327,92 @@ func TestProfileRedirectsAnonymous(t *testing.T) {
 }
 
 func int64Str(v int64) string { return strconv.FormatInt(v, 10) }
+
+// TestRenderFailsClosed: a template error, or a marker count that
+// differs from the PNGs given, answers a plain 500 carrying none of the
+// page.
+func TestRenderFailsClosed(t *testing.T) {
+	png := placeholderPNG
+	page := productPage{
+		Product:     db.Product{ID: 1, Name: "Tea"},
+		Recommended: []productCard{{ID: 2, Name: "Other", png: png}},
+		png:         png,
+	}
+	for _, c := range []struct {
+		name, tmpl string
+		data       any
+		pngs       [][]byte
+		want       int
+	}{
+		{"matching PNGs", "product", page, [][]byte{png, png}, http.StatusOK},
+		{"unknown template", "nope", page, nil, http.StatusInternalServerError},
+		{"execution error", "home", struct{}{}, nil, http.StatusInternalServerError},
+		{"one PNG too few", "product", page, [][]byte{png}, http.StatusInternalServerError},
+		{"one PNG too many", "product", page, [][]byte{png, png, png}, http.StatusInternalServerError},
+	} {
+		rec := httptest.NewRecorder()
+		render(rec, http.StatusOK, c.tmpl, c.data, c.pngs)
+		if rec.Code != c.want {
+			t.Errorf("%s: status %d, want %d", c.name, rec.Code, c.want)
+		}
+		if c.want == http.StatusOK {
+			continue
+		}
+		if body := rec.Body.String(); strings.Contains(body, "<") {
+			t.Errorf("%s: 500 carries page bytes: %q", c.name, body)
+		}
+		if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Errorf("%s: Content-Type %q, want text/plain", c.name, ct)
+		}
+	}
+}
+
+// TestPagesCarryContentLength: every page, error pages included, is sent
+// with a Content-Length equal to its body and is not chunked.
+func TestPagesCarryContentLength(t *testing.T) {
+	f := newFixture(t)
+	jar, _ := cookiejar.New(nil)
+	client := &http.Client{Jar: jar}
+	resp, err := client.PostForm(f.ui.URL+"/cart/add", url.Values{"productId": {strings.TrimPrefix(f.productPath(t), "/product/")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	for _, c := range []struct {
+		name string
+		do   func() (*http.Response, error)
+		want int
+	}{
+		{"home", func() (*http.Response, error) { return client.Get(f.ui.URL + "/") }, 200},
+		{"category", func() (*http.Response, error) { return client.Get(f.ui.URL + "/category/1") }, 200},
+		{"product", func() (*http.Response, error) { return client.Get(f.ui.URL + f.productPath(t)) }, 200},
+		{"cart", func() (*http.Response, error) { return client.Get(f.ui.URL + "/cart") }, 200},
+		{"login form", func() (*http.Response, error) { return client.Get(f.ui.URL + "/login") }, 200},
+		{"failed login", func() (*http.Response, error) {
+			return client.PostForm(f.ui.URL+"/login", url.Values{"email": {"nobody@teastore.test"}, "password": {"wrong"}})
+		}, 401},
+		{"unknown product", func() (*http.Response, error) { return client.Get(f.ui.URL + "/product/424242") }, 404},
+	} {
+		resp, err := c.do()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
+		}
+		if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+			t.Errorf("%s: Content-Length %q for a %d-byte body", c.name, cl, len(body))
+		}
+		if len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Transfer-Encoding %v", c.name, resp.TransferEncoding)
+		}
+		if !strings.Contains(string(body), "</html>") {
+			t.Errorf("%s: not a whole page", c.name)
+		}
+	}
+}
