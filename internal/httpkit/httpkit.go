@@ -173,12 +173,20 @@ type Server struct {
 	// the outbound side of the service that owns this server.
 	clientMu sync.Mutex
 	clients  []*Client
+
+	// silent holds the accepted connections that have not sent a byte;
+	// Shutdown closes those still silent after silentConnGrace.
+	silentMu sync.Mutex
+	silent   map[*trackedConn]struct{}
 }
 
 // NewServer puts the mux behind the server's request pipeline (serve) and
 // adds the ops endpoints to it. addr may be ":0" for an ephemeral port.
 func NewServer(name, addr string, mux *http.ServeMux) (*Server, error) {
-	s := &Server{name: name, mux: mux, stats: newRouteStats(), spans: newSpanStore(), errCh: make(chan error, 1)}
+	s := &Server{
+		name: name, mux: mux, stats: newRouteStats(), spans: newSpanStore(), errCh: make(chan error, 1),
+		silent: map[*trackedConn]struct{}{},
+	}
 	mux.HandleFunc("GET /health", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]string{"service": name, "status": "up"})
 	})
@@ -196,7 +204,7 @@ func NewServer(name, addr string, mux *http.ServeMux) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("httpkit: listen %s for %s: %w", addr, name, err)
 	}
-	s.lis = lis
+	s.lis = trackingListener{Listener: lis, srv: s}
 	s.srv = &http.Server{
 		Handler:           http.HandlerFunc(s.serve),
 		ReadHeaderTimeout: 5 * time.Second,
@@ -381,10 +389,91 @@ func (s *Server) Err() error {
 // serve goroutine exits, so watchers can block without leaking.
 func (s *Server) ErrChan() <-chan error { return s.errCh }
 
-// Shutdown drains connections within the context deadline.
+// silentConnGrace is how long after Shutdown starts a connection that
+// has not sent a byte is still given to begin a request.
+const silentConnGrace = 500 * time.Millisecond
+
+// Shutdown drains connections within the context deadline. net/http
+// waits up to 5 s for a connection that has not sent a whole request
+// header, so a client's spare connection, dialed and parked without a
+// request, would hold the drain that long; Shutdown closes the ones that
+// are still silent silentConnGrace after it starts. A connection that
+// has sent any byte is left to finish its request.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.ready.Store(false)
+	t := time.AfterFunc(silentConnGrace, s.closeSilentConns)
+	defer t.Stop()
 	return s.srv.Shutdown(ctx)
+}
+
+// closeSilentConns closes every connection that has not sent a byte.
+func (s *Server) closeSilentConns() {
+	s.silentMu.Lock()
+	var victims []*trackedConn
+	for c := range s.silent {
+		if c.settled.CompareAndSwap(false, true) {
+			victims = append(victims, c)
+		}
+	}
+	s.silentMu.Unlock()
+	for _, c := range victims {
+		_ = c.Close()
+	}
+}
+
+// trackingListener registers each accepted TCP connection with its
+// Server as silent until it sends a byte.
+type trackingListener struct {
+	net.Listener
+	srv *Server
+}
+
+// Accept implements net.Listener.
+func (l trackingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	tcp, ok := c.(*net.TCPConn)
+	if err != nil || !ok {
+		return c, err
+	}
+	tc := &trackedConn{TCPConn: tcp, srv: l.srv}
+	l.srv.silentMu.Lock()
+	l.srv.silent[tc] = struct{}{}
+	l.srv.silentMu.Unlock()
+	return tc, nil
+}
+
+// trackedConn is a server-side connection that knows whether its client
+// has sent anything. Embedding *net.TCPConn keeps the methods net/http
+// looks for (CloseWrite, ReadFrom).
+type trackedConn struct {
+	*net.TCPConn
+	srv *Server
+	// settled is set once, by whichever comes first: the first byte
+	// read, which keeps the connection, or closeSilentConns, which
+	// closes it.
+	settled atomic.Bool
+}
+
+// Read implements net.Conn; the first byte read takes the connection
+// off its server's silent set.
+func (c *trackedConn) Read(p []byte) (int, error) {
+	n, err := c.TCPConn.Read(p)
+	if n > 0 && !c.settled.Load() && c.settled.CompareAndSwap(false, true) {
+		c.untrack()
+	}
+	return n, err
+}
+
+// Close implements net.Conn.
+func (c *trackedConn) Close() error {
+	c.untrack()
+	return c.TCPConn.Close()
+}
+
+func (c *trackedConn) untrack() {
+	c.srv.silentMu.Lock()
+	delete(c.srv.silent, c)
+	c.srv.silentMu.Unlock()
 }
 
 // Kill abruptly closes the server — listener and every live connection —

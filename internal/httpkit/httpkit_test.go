@@ -1,9 +1,14 @@
 package httpkit
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"errors"
+	"io"
+	"net"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -204,5 +209,116 @@ func TestShutdownStopsServing(t *testing.T) {
 	c := NewClient(500 * time.Millisecond)
 	if err := c.GetJSON(context.Background(), url+"/health", nil); err == nil {
 		t.Fatal("server still serving after shutdown")
+	}
+}
+
+// waitClosedByServer reads from a client connection that never wrote
+// until the server closes it, failing on data or on a 5 s client-side
+// timeout.
+func waitClosedByServer(t *testing.T, conn net.Conn) {
+	t.Helper()
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := conn.Read(make([]byte, 1))
+	if n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("silent connection: read %d bytes, %v; want it closed by the server", n, err)
+	}
+}
+
+// TestShutdownClosesSilentConn: a connection that never sends a byte,
+// like a client transport's parked spare, does not hold Shutdown past
+// its deadline (net/http alone waits 5 s for it).
+func TestShutdownClosesSilentConn(t *testing.T) {
+	s := startTestServer(t, http.NewServeMux())
+	silent, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The listener accepts in order, so once a later connection has been
+	// answered the silent one has been accepted too.
+	if err := NewClient(time.Second).GetJSON(context.Background(), s.URL()+"/health", nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with a silent connection open: %v", err)
+	}
+	waitClosedByServer(t, silent)
+}
+
+// TestShutdownKeepsConnsThatSpoke: closing silent connections spares
+// every connection that has sent a byte. A request whose handler is
+// blocked when Shutdown starts, and one whose header has only begun to
+// arrive, both complete with 200 after the silent connection is gone.
+func TestShutdownKeepsConnsThatSpoke(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /block", func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "done"})
+	})
+	s := startTestServer(t, mux)
+	blocked := make(chan error, 1)
+	go func() {
+		blocked <- NewClient(10*time.Second).GetJSON(context.Background(), s.URL()+"/block", nil)
+	}()
+	<-entered
+
+	silent, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	partial, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer partial.Close()
+	if _, err := io.WriteString(partial, "GET /health HTTP/1.1\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// A later connection's answer means both have been accepted; then
+	// wait for the server to read the partial header's first bytes,
+	// which leaves only the silent connection silent.
+	if err := NewClient(time.Second).GetJSON(context.Background(), s.URL()+"/health", nil); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		s.silentMu.Lock()
+		n := len(s.silent)
+		s.silentMu.Unlock()
+		if n == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	shut := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		shut <- s.Shutdown(ctx)
+	}()
+	waitClosedByServer(t, silent)
+
+	if _, err := io.WriteString(partial, "Host: test\r\n\r\n"); err != nil {
+		t.Fatalf("partial request's connection closed: %v", err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(partial), nil)
+	if err != nil {
+		t.Fatalf("partial request: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("partial request: status %d, want 200", resp.StatusCode)
+	}
+	close(release)
+	if err := <-blocked; err != nil {
+		t.Fatalf("blocked request: %v", err)
+	}
+	if err := <-shut; err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 }

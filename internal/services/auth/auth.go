@@ -29,11 +29,15 @@ const HashIterations = 2048
 func HashPassword(password, salt string) string {
 	mac := hmac.New(sha256.New, []byte(salt))
 	mac.Write([]byte(password))
-	sum := mac.Sum(nil)
+	// Every round's digest lands in the same array: Sum appends to
+	// sum[:0], and Write has consumed the previous digest before Sum
+	// overwrites it.
+	var buf [sha256.Size]byte
+	sum := mac.Sum(buf[:0])
 	for i := 1; i < HashIterations; i++ {
 		mac.Reset()
 		mac.Write(sum)
-		sum = mac.Sum(nil)
+		sum = mac.Sum(sum[:0])
 	}
 	return hex.EncodeToString(sum)
 }

@@ -53,6 +53,32 @@ func TestHashPasswordProperties(t *testing.T) {
 	}
 }
 
+// TestHashPasswordGolden pins the stored-hash format: every seeded
+// user's PasswordHash was derived by it, so any change to the
+// iteration, the key or the encoding locks every user out.
+func TestHashPasswordGolden(t *testing.T) {
+	for _, c := range []struct{ password, salt, want string }{
+		{"secret", "pepper", "adbe2d88fa4d0e28bfaaf5c2d97cb31395affb497086ca3eece4721aa3d53ac2"},
+		{"password0", "salt0", "bb674ef89a58d4f9cc4ac121e0d9c93ed578a0bf76b3254bbd6c5c7b89551034"},
+		{"", "", "242736201f0608125a69c0ec99a1acc645910a47033f671c12ef815447d70619"},
+		// A salt longer than SHA-256's 64-byte block is hashed into the key.
+		{"pässwörd", "a much longer salt than the hash block of sixty-four bytes, so hmac hashes the key first", "aa338eea38875281fb727ddad2a2e672312eee9d61fdce70f6ecc69240b28cf7"},
+	} {
+		if got := HashPassword(c.password, c.salt); got != c.want {
+			t.Errorf("HashPassword(%q, %q) = %s, want %s", c.password, c.salt, got, c.want)
+		}
+	}
+}
+
+// TestHashPasswordAllocCeiling: the 2 048 rounds reuse one digest array,
+// so a hash costs the HMAC's setup and the hex string, not an
+// allocation per round.
+func TestHashPasswordAllocCeiling(t *testing.T) {
+	if allocs := testing.AllocsPerRun(5, func() { HashPassword("password0", "salt0") }); allocs > 16 {
+		t.Fatalf("HashPassword allocs/op = %.0f, want ≤ 16", allocs)
+	}
+}
+
 func TestLoginAndValidate(t *testing.T) {
 	s, _ := newFixture(t)
 	signed, tok, err := s.Login(context.Background(), "a@x", "secret")

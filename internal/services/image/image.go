@@ -5,6 +5,12 @@
 // of it PNG compression now that the pixel loop does no trigonometry,
 // matching the service's role as one of the workload's dominant CPU
 // consumers.
+//
+// A render is cached at once while its shard has room. A render that
+// would evict is cached only on its key's second miss: a fixed table of
+// recent first misses (the doorkeeper) keeps images seen once, such as
+// the full-size picture of a product viewed once, from pushing out the
+// previews and icons that pages keep reusing.
 package image
 
 import (
@@ -171,6 +177,11 @@ func Render(productID int64, px int) ([]byte, error) {
 			tri = append(tri, 0.25*math.Sin(rings2pi*math.Sqrt(uu[a]+uu[b])))
 		}
 	}
+	// Each channel blends base toward accent by w: base·(1−w) + accent·w,
+	// the operations and order of RenderReference's lerp, with the
+	// channels converted once per render and 1−w once per pixel.
+	br, bg, bb := float64(p.base.R), float64(p.base.G), float64(p.base.B)
+	ar, ag, ab := float64(p.accent.R), float64(p.accent.G), float64(p.accent.B)
 	line[0] = 1 // filter type Sub
 	for y := 0; y < px; y++ {
 		v := float64(y)/float64(px) - 0.5
@@ -192,7 +203,8 @@ func Render(productID int64, px int) ([]byte, error) {
 			if w > 1 {
 				w = 1
 			}
-			cr, cg, cb := lerp(p.base.R, p.accent.R, w), lerp(p.base.G, p.accent.G, w), lerp(p.base.B, p.accent.B, w)
+			omw := 1 - w
+			cr, cg, cb := uint8(br*omw+ar*w), uint8(bg*omw+ag*w), uint8(bb*omw+ab*w)
 			o := 1 + 3*x
 			line[o], line[o+1], line[o+2] = cr-pr, cg-pg, cb-pb
 			pr, pg, pb = cr, cg, cb
@@ -224,10 +236,6 @@ func appendChunk(b []byte, typ string, data []byte) []byte {
 	start := len(b)
 	b = append(append(b, typ...), data...)
 	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
-}
-
-func lerp(a, b uint8, w float64) uint8 {
-	return uint8(float64(a)*(1-w) + float64(b)*w)
 }
 
 // flightCall is one in-progress render that concurrent cache misses for
@@ -275,6 +283,9 @@ func (g *flightGroup) do(key string, fn func() ([]byte, error)) ([]byte, error) 
 type Service struct {
 	cache  *Cache
 	flight flightGroup
+	// door records the keys that missed once while their shard was
+	// full: only a second such miss may evict (admit).
+	door doorkeeper
 	// renders holds one slot per core: a render is CPU-bound, so more at
 	// once across all batches would only queue on the CPU while each
 	// holds its own pooled deflate state.
@@ -331,7 +342,7 @@ func (s *Service) Images(items []Item) [][]byte {
 					return data, nil
 				}
 				data, err := Render(id, px)
-				if err == nil {
+				if err == nil && s.admit(key, len(data)) {
 					s.cache.Put(key, data)
 				}
 				return data, err
@@ -340,6 +351,15 @@ func (s *Service) Images(items []Item) [][]byte {
 	}
 	wg.Wait()
 	return out
+}
+
+// admit decides whether a fresh render of n bytes goes into the cache.
+// While the key's shard has room it always does: plain LRU. A render
+// that would evict is admitted only on its key's second miss, so a
+// one-off image (a full-size render nobody asks for again) does not
+// push out the previews and icons that pages keep reusing.
+func (s *Service) admit(key string, n int) bool {
+	return !s.cache.wouldEvict(key, n) || s.door.seen(key)
 }
 
 // Mux returns the HTTP API:

@@ -94,6 +94,23 @@ func (c *Cache) peek(key string) ([]byte, bool) {
 	return nil, false
 }
 
+// wouldEvict reports whether a Put of n bytes under key would evict
+// another entry right now. A value larger than a shard evicts nothing:
+// Put does not cache it.
+func (c *Cache) wouldEvict(key string, n int) bool {
+	s := c.shard(key)
+	size := int64(n)
+	if size > s.capacity {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.items[key]; ok {
+		size -= int64(len(el.Value.(*lruEntry).data))
+	}
+	return s.bytes+size > s.capacity
+}
+
 // Put stores data under key, evicting least-recently-used entries from the
 // key's shard until it fits. Values larger than a shard are not cached.
 func (c *Cache) Put(key string, data []byte) {

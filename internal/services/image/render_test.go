@@ -59,6 +59,12 @@ func RenderReference(productID int64, px int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// lerp blends channel a toward b by w, the way the original renderer
+// coloured each pixel.
+func lerp(a, b uint8, w float64) uint8 {
+	return uint8(float64(a)*(1-w) + float64(b)*w)
+}
+
 // oracleIDs cover every value paramsFor draws: fx and fy in 2…6, rings
 // in 3…8. Product 977 at 400 px is where mirrored columns whose u²
 // differ in the last bit first show if the radial table shares them.

@@ -12,6 +12,7 @@ package recommender
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/db"
@@ -84,15 +85,19 @@ func topN(scores map[int64]float64, skip []int64, max int) []int64 {
 	return out
 }
 
-// Popularity recommends global best-sellers.
+// Popularity recommends global best-sellers. Sales only change at
+// Train, so the ranking is sorted there once and each Recommend walks
+// it.
 type Popularity struct {
-	counts map[int64]float64
+	// ranking is every product with sales, by units sold descending,
+	// ties by ascending id: topN's order over the same counts.
+	ranking []int64
 }
 
 // Name implements Algorithm.
 func (p *Popularity) Name() string { return "popularity" }
 
-// Train counts units sold per product.
+// Train counts units sold per product and ranks them.
 func (p *Popularity) Train(orders []db.Order) {
 	counts := map[int64]float64{}
 	for _, o := range orders {
@@ -100,12 +105,26 @@ func (p *Popularity) Train(orders []db.Order) {
 			counts[it.ProductID] += float64(it.Quantity)
 		}
 	}
-	p.counts = counts
+	p.ranking = topN(counts, nil, 0)
 }
 
-// Recommend implements Algorithm.
+// Recommend implements Algorithm: the first max ranked products not in
+// current (all of them when max ≤ 0).
 func (p *Popularity) Recommend(userID int64, current []int64, max int) []int64 {
-	return topN(p.counts, current, max)
+	n := len(p.ranking)
+	if max > 0 && max < n {
+		n = max
+	}
+	out := make([]int64, 0, n)
+	for _, id := range p.ranking {
+		if len(out) == n {
+			break
+		}
+		if !slices.Contains(current, id) {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // SlopeOne implements Slope One collaborative filtering over purchase

@@ -3,7 +3,10 @@ package recommender
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -63,6 +66,39 @@ func TestPopularityRanksBestSellers(t *testing.T) {
 	for _, id := range got {
 		if id == 1 {
 			t.Fatal("excluded product recommended")
+		}
+	}
+}
+
+// TestPopularityMatchesTopN: walking the ranking stored at Train gives
+// exactly what sorting the sales counts per request gave, on random
+// histories, exclusion sets (repeats and unsold ids included) and
+// limits (max ≤ 0 included).
+func TestPopularityMatchesTopN(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		orders := make([]db.Order, rng.Intn(40))
+		counts := map[int64]float64{}
+		for i := range orders {
+			items := make([]db.OrderItem, 1+rng.Intn(4))
+			for k := range items {
+				items[k] = db.OrderItem{ProductID: int64(rng.Intn(25)), Quantity: rng.Intn(4)}
+				counts[items[k].ProductID] += float64(items[k].Quantity)
+			}
+			orders[i] = db.Order{ID: int64(i + 1), UserID: int64(rng.Intn(5)), Items: items}
+		}
+		p := &Popularity{}
+		p.Train(orders)
+		for q := 0; q < 20; q++ {
+			current := make([]int64, rng.Intn(6))
+			for i := range current {
+				current[i] = int64(rng.Intn(30))
+			}
+			max := rng.Intn(30) - 3
+			want := topN(counts, current, max)
+			if got := p.Recommend(int64(q), current, max); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: Recommend(current=%v, max=%d) = %v, want %v", trial, current, max, got, want)
+			}
 		}
 	}
 }
@@ -170,6 +206,33 @@ func TestServiceLifecycle(t *testing.T) {
 	}
 	if s.Algorithm() != "popularity" {
 		t.Fatal("Algorithm() wrong")
+	}
+}
+
+// TestServiceRecommendDuringRetrain retrains while recommendations are
+// served: under -race this checks that a retrain's new ranking is
+// published only under the service's lock.
+func TestServiceRecommendDuringRetrain(t *testing.T) {
+	for _, name := range AlgorithmNames() {
+		s, _ := New(name, nil)
+		s.TrainOn(mkOrders())
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					if got, err := s.Recommend(int64(i%6), []int64{2}, 3); err != nil || len(got) == 0 {
+						t.Errorf("%s: Recommend = %v, %v", name, got, err)
+						return
+					}
+				}
+			}()
+		}
+		for i := 0; i < 20; i++ {
+			s.TrainOn(mkOrders()[i%4:])
+		}
+		wg.Wait()
 	}
 }
 
