@@ -7,20 +7,35 @@ import (
 )
 
 // queueTrace runs a small M/G/2 queueing model — Poisson-ish arrivals
-// into a capacity-2 resource with lognormal service — and logs every
-// event into a byte trace. The model exercises the pieces the seed
+// to two servers with a FIFO wait queue and lognormal service — and logs
+// every event into a byte trace. The model exercises the pieces the seed
 // contract (rng.go) promises determinism over: named RNG streams,
-// same-instant FIFO tie-breaks, resource grant order, and the clock.
+// same-instant FIFO tie-breaks, and the clock.
 func queueTrace(seed int64) []byte {
 	var buf bytes.Buffer
 	eng := New()
 	pool := NewRNGPool(seed)
 	arrivals := pool.Stream("arrivals")
 	service := pool.Stream("service")
-	res := NewResource(eng, 2)
+	const servers = 2
+	busy, queue := 0, []int(nil)
 
 	const jobs = 200
 	started := 0
+	var start func(id int)
+	start = func(id int) {
+		busy++
+		fmt.Fprintf(&buf, "%d start %d inuse=%d\n", int64(eng.Now()), id, busy)
+		eng.After(service.LogNormal(3*Millisecond, 0.7), func() {
+			fmt.Fprintf(&buf, "%d done %d\n", int64(eng.Now()), id)
+			busy--
+			if len(queue) > 0 {
+				next := queue[0]
+				queue = queue[1:]
+				start(next)
+			}
+		})
+	}
 	var arrive func()
 	arrive = func() {
 		if started >= jobs {
@@ -28,14 +43,12 @@ func queueTrace(seed int64) []byte {
 		}
 		started++
 		id := started
-		fmt.Fprintf(&buf, "%d arrive %d queued=%d\n", int64(eng.Now()), id, res.Queued())
-		res.Acquire(func() {
-			fmt.Fprintf(&buf, "%d start %d inuse=%d\n", int64(eng.Now()), id, res.InUse())
-			eng.After(service.LogNormal(3*Millisecond, 0.7), func() {
-				fmt.Fprintf(&buf, "%d done %d\n", int64(eng.Now()), id)
-				res.Release()
-			})
-		})
+		fmt.Fprintf(&buf, "%d arrive %d queued=%d\n", int64(eng.Now()), id, len(queue))
+		if busy < servers {
+			start(id)
+		} else {
+			queue = append(queue, id)
+		}
 		eng.After(arrivals.Exp(Millisecond), arrive)
 	}
 	eng.After(0, arrive)

@@ -3,7 +3,6 @@ package desim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGStreamIndependence(t *testing.T) {
@@ -112,100 +111,5 @@ func TestPickDegenerate(t *testing.T) {
 	}
 	if r.Pick([]float64{0, 0}) != 0 {
 		t.Fatal("Pick(all zero) != 0")
-	}
-}
-
-func TestResourceImmediateGrant(t *testing.T) {
-	e := New()
-	r := NewResource(e, 2)
-	granted := 0
-	r.Acquire(func() { granted++ })
-	r.Acquire(func() { granted++ })
-	if granted != 2 || r.InUse() != 2 {
-		t.Fatalf("granted=%d inUse=%d, want 2,2", granted, r.InUse())
-	}
-	if r.Utilization() != 1.0 {
-		t.Fatalf("utilization = %v, want 1", r.Utilization())
-	}
-}
-
-func TestResourceQueuesFIFO(t *testing.T) {
-	e := New()
-	r := NewResource(e, 1)
-	var order []int
-	r.Acquire(func() {})
-	for i := 0; i < 5; i++ {
-		i := i
-		r.Acquire(func() { order = append(order, i) })
-	}
-	if r.Queued() != 5 {
-		t.Fatalf("Queued = %d, want 5", r.Queued())
-	}
-	for i := 0; i < 5; i++ {
-		r.Release()
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("grant order[%d] = %d, want %d", i, v, i)
-		}
-	}
-}
-
-func TestResourceBoundedQueue(t *testing.T) {
-	e := New()
-	r := NewResource(e, 1)
-	r.MaxQueue = 2
-	r.Acquire(func() {})
-	if !r.Acquire(func() {}) || !r.Acquire(func() {}) {
-		t.Fatal("queue slots rejected")
-	}
-	if r.Acquire(func() {}) {
-		t.Fatal("over-bound acquire accepted")
-	}
-}
-
-func TestResourceReleaseIdlePanics(t *testing.T) {
-	e := New()
-	r := NewResource(e, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("release of idle resource did not panic")
-		}
-	}()
-	r.Release()
-}
-
-func TestResourceZeroCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero capacity did not panic")
-		}
-	}()
-	NewResource(New(), 0)
-}
-
-// Property: grants never exceed capacity, and every queued acquire is
-// eventually granted after enough releases.
-func TestPropertyResourceConservation(t *testing.T) {
-	f := func(capRaw uint8, nRaw uint8) bool {
-		capacity := int(capRaw%8) + 1
-		n := int(nRaw%64) + 1
-		e := New()
-		r := NewResource(e, capacity)
-		granted := 0
-		for i := 0; i < n; i++ {
-			r.Acquire(func() { granted++ })
-			if r.InUse() > capacity {
-				return false
-			}
-		}
-		// Drain: release until idle.
-		for r.InUse() > 0 {
-			r.Release()
-		}
-		return granted == n && r.Queued() == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

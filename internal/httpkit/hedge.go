@@ -33,9 +33,6 @@ type HedgePolicy struct {
 	MinSamples int
 }
 
-// DefaultHedgePolicy returns the production defaults.
-func DefaultHedgePolicy() HedgePolicy { return HedgePolicy{}.normalized() }
-
 // normalized fills zero fields with defaults.
 func (p HedgePolicy) normalized() HedgePolicy {
 	if p.MaxFraction <= 0 {

@@ -51,9 +51,6 @@ type OutlierConfig struct {
 	SweepInterval time.Duration
 }
 
-// DefaultOutlierConfig returns the production defaults.
-func DefaultOutlierConfig() OutlierConfig { return OutlierConfig{}.normalized() }
-
 // normalized fills zero fields with defaults.
 func (c OutlierConfig) normalized() OutlierConfig {
 	if c.LatencyFactor <= 0 {

@@ -289,13 +289,3 @@ func coresOfSet(mach *topology.Machine, set topology.CPUSet) []int {
 	sort.Ints(out)
 	return out
 }
-
-// SlotsByService groups a slot list by service name, preserving order —
-// the shape reports and the topoviz renderer consume.
-func SlotsByService(slots []Slot) map[string][]Slot {
-	out := map[string][]Slot{}
-	for _, s := range slots {
-		out[s.Service] = append(out[s.Service], s)
-	}
-	return out
-}

@@ -4,7 +4,9 @@
 // original's getProductImages. Rendering is genuinely CPU-heavy, most
 // of it PNG compression now that the pixel loop does no trigonometry,
 // matching the service's role as one of the workload's dominant CPU
-// consumers.
+// consumers. Icons and previews are deflated with LZ77 at BestSpeed;
+// full-size images go through an in-tree Huffman-only writer
+// (huffman.go), since at that size LZ77 costs more than it saves.
 //
 // A render is cached at once while its shard has room. A render that
 // would evict is cached only on its key's second miss: a fixed table of
@@ -21,6 +23,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"image/color"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -92,14 +95,16 @@ func paramsFor(productID int64) renderParams {
 
 // renderState is one render's reusable scratch: the per-axis
 // precompute, the radial term table with one row gathered from it, one
-// filtered scanline, and the zlib stream with the output it compresses
-// into. Pooled whole, so a render allocates only the PNG it returns.
+// filtered scanline and the raw row above it, and the two zlib writers
+// with the output they compress into. Pooled whole, so a render
+// allocates only the PNG it returns.
 type renderState struct {
 	sinX, uu, row, tri []float64
 	idx                []int
-	line               []byte
+	line, up           []byte
 	idat               bytes.Buffer
 	zw                 *zlib.Writer
+	hw                 huffWriter
 }
 
 var statePool = sync.Pool{New: func() any {
@@ -112,6 +117,21 @@ var statePool = sync.Pool{New: func() any {
 	return st
 }}
 
+// huffMinPx is the smallest edge length written with the Average filter
+// into the Huffman-only huffWriter; smaller renders keep the Sub filter
+// and BestSpeed, whose LZ77 matches pay for themselves there. Bytes over
+// products 1–20, relative to image/png's adaptive filters at BestSpeed:
+//
+//	px                 64     125    256    383    384    400
+//	Sub + BestSpeed    0.619  0.757  0.946  0.983  0.984  0.987
+//	Average + Huffman  1.225  1.170  1.046  0.976  0.976  0.971
+//
+// Average + Huffman is the smaller from about 370 px, and at 400 px
+// renders in about 0.6 of the time. Paeth + Huffman is smaller still (about
+// 0.90 at 256 px, 0.87 at 400), but a straightforward Paeth costs about
+// 2.5 ms more per full render than Average.
+const huffMinPx = 384
+
 // pngSignature opens every PNG file.
 const pngSignature = "\x89PNG\r\n\x1a\n"
 
@@ -119,17 +139,21 @@ const pngSignature = "\x89PNG\r\n\x1a\n"
 // a banded radial interference pattern whose palette and geometry derive
 // from the product ID. Identical inputs produce identical bytes.
 //
-// The PNG is written directly: each RGB scanline goes out already
-// filtered with PNG filter type 1 (Sub, each byte minus the same channel
-// of the pixel to its left) into one pooled BestSpeed zlib stream, which
-// becomes the file's single IDAT chunk. On this smooth artwork Sub
-// compresses better than image/png's per-row trial of all five filters,
-// at none of its cost. The trigonometry is hoisted out of the pixel
-// loop: the weight's product term separates per axis, and the radial
-// term, which depends only on u²+v², is evaluated once per pair of
-// distinct u² values (39 903 pairs instead of 160 000 pixels at 400 px),
-// so deflate is now most of a render. RenderReference (render_test.go)
-// keeps the original implementation as the equivalence oracle.
+// The PNG is written directly, each RGB scanline already filtered, as
+// one IDAT chunk. Below huffMinPx every row uses PNG filter type 1 (Sub,
+// each byte minus the same channel of the pixel to its left) into one
+// pooled BestSpeed zlib stream; on this smooth artwork Sub compresses
+// better than image/png's per-row trial of all five filters, at none of
+// its cost. From huffMinPx up every row uses filter type 3 (Average,
+// each byte minus the mean of the left and upper bytes) into huffWriter,
+// which codes literals only: at that size LZ77 finds too little to pay
+// for its search. The trigonometry is hoisted out of the pixel loop: the
+// weight's product term separates per axis, and the radial term, which
+// depends only on u²+v², is evaluated once per pair of distinct u²
+// values (39 903 pairs instead of 160 000 pixels at 400 px), so the
+// encoder is about half of a full render. RenderReference
+// (render_test.go) keeps the original implementation as the equivalence
+// oracle.
 func Render(productID int64, px int) ([]byte, error) {
 	if px <= 0 || px > 1024 {
 		return nil, fmt.Errorf("image: invalid size %d", px)
@@ -140,11 +164,21 @@ func Render(productID int64, px int) ([]byte, error) {
 	defer statePool.Put(st)
 	if cap(st.line) < 1+3*px {
 		st.sinX, st.uu, st.row = make([]float64, px), make([]float64, px), make([]float64, px)
-		st.idx, st.line = make([]int, px), make([]byte, 1+3*px)
+		st.idx, st.line, st.up = make([]int, px), make([]byte, 1+3*px), make([]byte, 3*px)
 	}
-	sinX, uu, row, idx, line := st.sinX[:px], st.uu[:px], st.row[:px], st.idx[:px], st.line[:1+3*px]
+	sinX, uu, row, idx, line, up := st.sinX[:px], st.uu[:px], st.row[:px], st.idx[:px], st.line[:1+3*px], st.up[:3*px]
 	st.idat.Reset()
-	st.zw.Reset(&st.idat)
+	huff := px >= huffMinPx
+	var zw io.WriteCloser = st.zw
+	if huff {
+		zw = &st.hw
+		st.hw.reset(&st.idat)
+		clear(up) // the row above the first is zero
+		line[0] = 3
+	} else {
+		st.zw.Reset(&st.idat)
+		line[0] = 1
+	}
 
 	// The weight's product term separates per axis: sin(fx·π·u) depends
 	// only on x, cos(fy·π·v) only on y. The radial term depends on u²+v²,
@@ -182,7 +216,6 @@ func Render(productID int64, px int) ([]byte, error) {
 	// channels converted once per render and 1−w once per pixel.
 	br, bg, bb := float64(p.base.R), float64(p.base.G), float64(p.base.B)
 	ar, ag, ab := float64(p.accent.R), float64(p.accent.G), float64(p.accent.B)
-	line[0] = 1 // filter type Sub
 	for y := 0; y < px; y++ {
 		v := float64(y)/float64(px) - 0.5
 		cosY := math.Cos(p.fy * math.Pi * v)
@@ -206,14 +239,22 @@ func Render(productID int64, px int) ([]byte, error) {
 			omw := 1 - w
 			cr, cg, cb := uint8(br*omw+ar*w), uint8(bg*omw+ag*w), uint8(bb*omw+ab*w)
 			o := 1 + 3*x
-			line[o], line[o+1], line[o+2] = cr-pr, cg-pg, cb-pb
+			if huff {
+				u := up[o-1 : o+2 : o+2]
+				line[o] = cr - uint8((uint(pr)+uint(u[0]))>>1)
+				line[o+1] = cg - uint8((uint(pg)+uint(u[1]))>>1)
+				line[o+2] = cb - uint8((uint(pb)+uint(u[2]))>>1)
+				u[0], u[1], u[2] = cr, cg, cb
+			} else {
+				line[o], line[o+1], line[o+2] = cr-pr, cg-pg, cb-pb
+			}
 			pr, pg, pb = cr, cg, cb
 		}
-		// zlib fails only when the writer under it does, and a
+		// Either writer fails only when the one under it does, and a
 		// bytes.Buffer never fails a write.
-		_, _ = st.zw.Write(line)
+		_, _ = zw.Write(line)
 	}
-	_ = st.zw.Close()
+	_ = zw.Close()
 
 	// IHDR: width, height, bit depth 8, colour type 2 (RGB), default
 	// compression, filtering and no interlace.

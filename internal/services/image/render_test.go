@@ -152,7 +152,7 @@ func TestRenderGolden(t *testing.T) {
 			h.Write(data)
 		}
 	}
-	const want = "0ce120136a8ce5a94799d42f8083b09fb1d8628514d63a4355149adbe6f9de43"
+	const want = "82a183b2cbfa436342e0f714ce306c8d459f692425ca3c5f4ec94165e1459374"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("SHA-256 over the golden renders = %s, want %s", got, want)
 	}
@@ -160,9 +160,10 @@ func TestRenderGolden(t *testing.T) {
 
 // TestRenderPNGStructure walks the file Render writes: the signature,
 // then IHDR, exactly one IDAT and IEND, each with a valid CRC; the IDAT
-// inflates to exactly one Sub-filtered RGB scanline per row.
+// inflates to exactly one RGB scanline per row, each filtered with Sub
+// below huffMinPx and with Average from huffMinPx up.
 func TestRenderPNGStructure(t *testing.T) {
-	for _, px := range []int{1, 7, 125, 400} {
+	for _, px := range []int{1, 7, 125, huffMinPx - 1, huffMinPx, 400} {
 		data, err := Render(42, px)
 		if err != nil {
 			t.Fatal(err)
@@ -211,24 +212,29 @@ func TestRenderPNGStructure(t *testing.T) {
 		if len(raw) != px*stride {
 			t.Fatalf("%d px: IDAT inflates to %d bytes, want %d", px, len(raw), px*stride)
 		}
+		filter := byte(1) // Sub
+		if px >= huffMinPx {
+			filter = 3 // Average
+		}
 		for y := 0; y < px; y++ {
-			if f := raw[y*stride]; f != 1 {
-				t.Fatalf("%d px: row %d has filter %d, want 1 (Sub)", px, y, f)
+			if f := raw[y*stride]; f != filter {
+				t.Fatalf("%d px: row %d has filter %d, want %d", px, y, f, filter)
 			}
 		}
 	}
 }
 
-// TestRenderNoLargerThanAdaptive: for the sizes pages ask for, Render's
-// fixed Sub filter must not cost bytes against image/png's per-row
-// adaptive filter choice at the same compression level. The bytes are
-// what the image cache holds, so this guards its capacity in images.
+// TestRenderNoLargerThanAdaptive: for the sizes pages ask for, the 256 px
+// size, and either side of huffMinPx, Render's fixed filter and encoder
+// must not cost bytes against image/png's per-row adaptive filter choice
+// at BestSpeed. The bytes are what the image cache holds, so this guards
+// its capacity in images.
 func TestRenderNoLargerThanAdaptive(t *testing.T) {
 	enc := png.Encoder{CompressionLevel: png.BestSpeed}
-	for _, size := range []Size{SizeIcon, SizePreview, SizeFull} {
+	for _, px := range []int{SizeIcon.Pixels(), SizePreview.Pixels(), SizeLarge.Pixels(), huffMinPx - 1, huffMinPx, SizeFull.Pixels()} {
 		var direct, adaptive int
 		for id := int64(1); id <= 20; id++ {
-			data, err := Render(id, size.Pixels())
+			data, err := Render(id, px)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,9 +249,9 @@ func TestRenderNoLargerThanAdaptive(t *testing.T) {
 			direct += len(data)
 			adaptive += buf.Len()
 		}
-		t.Logf("%s: %d bytes direct, %d adaptive (%.2f×)", size, direct, adaptive, float64(direct)/float64(adaptive))
+		t.Logf("%d px: %d bytes direct, %d adaptive (%.3f×)", px, direct, adaptive, float64(direct)/float64(adaptive))
 		if direct > adaptive {
-			t.Errorf("%s: Render wrote %d bytes over 20 products, image/png %d", size, direct, adaptive)
+			t.Errorf("%d px: Render wrote %d bytes over 20 products, image/png %d", px, direct, adaptive)
 		}
 	}
 }
@@ -255,7 +261,7 @@ func TestRenderNoLargerThanAdaptive(t *testing.T) {
 // stay byte-identical to a fresh render.
 func TestRenderPoolReuseKeepsDeterminism(t *testing.T) {
 	want := map[string][]byte{}
-	for _, px := range []int{64, 125, 256} {
+	for _, px := range []int{64, 125, 256, 400} {
 		for id := int64(1); id <= 3; id++ {
 			data, err := Render(id, px)
 			if err != nil {
@@ -266,7 +272,7 @@ func TestRenderPoolReuseKeepsDeterminism(t *testing.T) {
 	}
 	// Second pass reuses pooled buffers in a different order.
 	for id := int64(3); id >= 1; id-- {
-		for _, px := range []int{256, 64, 125} {
+		for _, px := range []int{400, 256, 64, 125} {
 			data, err := Render(id, px)
 			if err != nil {
 				t.Fatal(err)

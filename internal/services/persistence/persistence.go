@@ -46,12 +46,6 @@ func NewSharded(cluster *Cluster, shard int) *Service {
 // callers).
 func (s *Service) Store() *db.Store { return s.store }
 
-// Cluster exposes the shared order plane.
-func (s *Service) Cluster() *Cluster { return s.cluster }
-
-// Shard returns the shard this replica owns.
-func (s *Service) Shard() int { return s.shard }
-
 // statusFor maps store errors onto HTTP statuses.
 func statusFor(err error) int {
 	switch {

@@ -111,6 +111,3 @@ func defaultWorkers(s Service, cpus int) int {
 	}
 	return w
 }
-
-// DefaultWorkers exposes the sizing rule for the placement package.
-func DefaultWorkers(s Service, cpus int) int { return defaultWorkers(s, cpus) }

@@ -123,9 +123,6 @@ func New(eng *desim.Engine, mach *topology.Machine, params Params) (*Processor, 
 // Machine returns the underlying topology.
 func (p *Processor) Machine() *topology.Machine { return p.mach }
 
-// Params returns the hardware parameters.
-func (p *Processor) Params() Params { return p.params }
-
 // Submit dispatches the segment now if a CPU in its affinity set is idle,
 // otherwise queues it FIFO. Zero-work segments complete immediately
 // without occupying a CPU.

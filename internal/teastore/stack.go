@@ -40,7 +40,7 @@ type ResilienceConfig struct {
 	// ClientTimeout bounds each inter-service call attempt (0 → 10s).
 	ClientTimeout time.Duration
 	// Hedge tunes budgeted hedging of idempotent inter-service calls
-	// (zero fields → httpkit.DefaultHedgePolicy). Hedging is on by
+	// (zero fields take httpkit's defaults). Hedging is on by
 	// default; set DisableHedge to turn it off.
 	Hedge httpkit.HedgePolicy
 	// DisableHedge turns request hedging off entirely.
