@@ -69,7 +69,7 @@ func main() {
 
 	// Product images: a preview and an icon in one batch call.
 	p0 := page.Products[0]
-	pngs, err := images.Images(ctx, []imagesvc.Item{{ID: p0.ID, Size: imagesvc.SizePreview}, {ID: p0.ID, Size: imagesvc.SizeIcon}})
+	pngs, err := images.Images(ctx, []imagesvc.Item{{ID: p0.ID, Size: imagesvc.SizePreview}, {ID: p0.ID, Size: imagesvc.SizeIcon}}, nil)
 	if err != nil || pngs[0] == nil || pngs[1] == nil {
 		log.Fatalf("images of #%d: %v", p0.ID, err)
 	}

@@ -2,16 +2,43 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
 var quick = Options{Quick: true, Seed: 1}
 
+// quickRun is Run(quick), computed once for every test in the package.
+var quickRun = sync.OnceValues(func() (Results, error) { return Run(quick) })
+
+// quickResults returns Run(quick), failing t if it failed.
+func quickResults(t *testing.T) Results {
+	t.Helper()
+	r, err := quickRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// quickTable returns the table Run(quick) rendered for experiment id.
+func quickTable(t *testing.T, id string) metrics.Table {
+	t.Helper()
+	for _, nt := range quickResults(t).Tables {
+		if nt.ID == id {
+			return nt.Table
+		}
+	}
+	t.Fatalf("no %s table", id)
+	return metrics.Table{}
+}
+
 func TestE1Inventory(t *testing.T) {
-	tab := E1ServiceInventory(quick)
+	tab := quickTable(t, "E1")
 	if len(tab.Rows) != sim.NumServices {
 		t.Fatalf("rows = %d, want %d", len(tab.Rows), sim.NumServices)
 	}
@@ -21,7 +48,7 @@ func TestE1Inventory(t *testing.T) {
 }
 
 func TestE10Topology(t *testing.T) {
-	tab := E10Topology()
+	tab := quickTable(t, "E10")
 	s := tab.String()
 	for _, want := range []string{"rome-1s", "rome-2s", "128", "256"} {
 		if !strings.Contains(s, want) {
@@ -31,10 +58,7 @@ func TestE10Topology(t *testing.T) {
 }
 
 func TestE2ScaleUpShape(t *testing.T) {
-	_, points, err := E2ScaleUpCurve(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := quickResults(t).Scale
 	if len(points) < 3 {
 		t.Fatalf("points = %d", len(points))
 	}
@@ -57,10 +81,7 @@ func TestE2ScaleUpShape(t *testing.T) {
 }
 
 func TestE3UtilizationShape(t *testing.T) {
-	_, res, err := E3ServiceUtilization(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResults(t).Util
 	top := res.Services[0]
 	for _, st := range res.Services {
 		if st.BusyShare > top.BusyShare {
@@ -76,10 +97,7 @@ func TestE3UtilizationShape(t *testing.T) {
 }
 
 func TestE4ScalingClasses(t *testing.T) {
-	_, chars, err := E4PerServiceScaling(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chars := quickResults(t).Classes
 	if chars[sim.Auth].Class != core.ScalesLinearly {
 		t.Fatalf("auth class = %v, want linear", chars[sim.Auth].Class)
 	}
@@ -92,10 +110,7 @@ func TestE4ScalingClasses(t *testing.T) {
 }
 
 func TestE5ReplicationHelps(t *testing.T) {
-	_, points, err := E5Replication(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := quickResults(t).Replication
 	first, last := points[0], points[len(points)-1]
 	if last.Throughput <= first.Throughput*1.05 {
 		t.Fatalf("replication gained only %0.f→%0.f req/s", first.Throughput, last.Throughput)
@@ -103,10 +118,7 @@ func TestE5ReplicationHelps(t *testing.T) {
 }
 
 func TestE6SMTGainBand(t *testing.T) {
-	_, res, err := E6SMT(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResults(t).SMT
 	gain := res.TwoThreadsPerCore / res.OneThreadPerCore
 	if gain < 1.05 || gain > 1.6 {
 		t.Fatalf("SMT gain %.2f× outside the plausible 1.05–1.6× band", gain)
@@ -114,10 +126,7 @@ func TestE6SMTGainBand(t *testing.T) {
 }
 
 func TestE7HeadlineDirection(t *testing.T) {
-	_, outcome, err := E7PinningPolicies(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outcome := quickResults(t).Headline
 	if outcome.ThroughputGain < 0.05 {
 		t.Fatalf("optimized gain %.1f %% too small — headline broken", outcome.ThroughputGain*100)
 	}
@@ -138,10 +147,7 @@ func TestE7HeadlineDirection(t *testing.T) {
 }
 
 func TestE8DistributionShiftsLeft(t *testing.T) {
-	_, out, err := E8LatencyDistribution(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := quickResults(t).Latency
 	if out.Optimized.P50 >= out.Tuned.P50 {
 		t.Fatalf("optimized p50 %.1fms should beat tuned %.1fms",
 			float64(out.Optimized.P50)/1e6, float64(out.Tuned.P50)/1e6)
@@ -156,7 +162,7 @@ func TestE8DistributionShiftsLeft(t *testing.T) {
 }
 
 func TestE9Rows(t *testing.T) {
-	tab, rows := E9Microarch(quick)
+	tab, rows := quickTable(t, "E9"), quickResults(t).Microarch
 	if len(rows) != sim.NumServices+3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -165,15 +171,15 @@ func TestE9Rows(t *testing.T) {
 	}
 }
 
+// TestRunAllQuick checks what RunAll writes for the quick results the
+// other tests share: every table, then the headline.
 func TestRunAllQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite")
-	}
+	r := quickResults(t)
 	var sb strings.Builder
-	outcome, err := RunAll(&sb, quick)
-	if err != nil {
+	if err := r.write(&sb, nil); err != nil {
 		t.Fatal(err)
 	}
+	outcome := r.Headline
 	s := sb.String()
 	for _, marker := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "Headline"} {
 		if !strings.Contains(s, marker) {

@@ -3,10 +3,7 @@ package experiments
 import "testing"
 
 func TestE11LoadLatencyKnee(t *testing.T) {
-	_, points, err := E11LoadLatency(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := quickResults(t).Load
 	if len(points) < 2 {
 		t.Fatalf("points = %d", len(points))
 	}
@@ -27,10 +24,7 @@ func TestE11LoadLatencyKnee(t *testing.T) {
 }
 
 func TestE12NPSInteraction(t *testing.T) {
-	_, results, err := E12NPSSensitivity(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := quickResults(t).NPS
 	if len(results) != 4 {
 		t.Fatalf("results = %d", len(results))
 	}

@@ -26,6 +26,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -658,11 +659,11 @@ func (c *Client) doJSON(ctx context.Context, method, url string, in, out any) er
 // maxBytesBody caps a GetBytes payload.
 const maxBytesBody = 32 << 20
 
-// GetBytes GETs a binary payload (images). A declared Content-Length is
-// read into one buffer of exactly that size. A body over maxBytesBody, or
-// shorter than it declared, is an error, never a silently truncated
-// payload.
-func (c *Client) GetBytes(ctx context.Context, url string) ([]byte, error) {
+// GetBytes GETs a binary payload (images) and appends it to dst, which
+// may be a reused buffer or nil. A declared Content-Length is read in
+// place after growing dst once. A body over maxBytesBody, or shorter
+// than it declared, is an error, never a silently truncated payload.
+func (c *Client) GetBytes(ctx context.Context, url string, dst []byte) ([]byte, error) {
 	resp, err := c.exec(ctx, http.MethodGet, url, nil, "")
 	if err != nil {
 		return nil, err
@@ -674,20 +675,22 @@ func (c *Client) GetBytes(ctx context.Context, url string) ([]byte, error) {
 	if n := resp.ContentLength; n > maxBytesBody {
 		return nil, fmt.Errorf("httpkit: GET %s: body of %d bytes exceeds the %d-byte cap", url, n, maxBytesBody)
 	} else if n >= 0 {
-		data := make([]byte, n)
-		if _, err := io.ReadFull(resp.Body, data); err != nil {
+		dst = slices.Grow(dst, int(n))
+		body := dst[len(dst) : len(dst)+int(n)]
+		if _, err := io.ReadFull(resp.Body, body); err != nil {
 			return nil, fmt.Errorf("httpkit: GET %s: reading %d-byte body: %w", url, n, err)
 		}
-		return data, nil
+		return dst[:len(dst)+int(n)], nil
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBytesBody+1))
+	buf := bytes.NewBuffer(dst)
+	n, err := buf.ReadFrom(io.LimitReader(resp.Body, maxBytesBody+1))
 	if err != nil {
 		return nil, err
 	}
-	if len(data) > maxBytesBody {
+	if n > maxBytesBody {
 		return nil, fmt.Errorf("httpkit: GET %s: body exceeds the %d-byte cap", url, maxBytesBody)
 	}
-	return data, nil
+	return buf.Bytes(), nil
 }
 
 // injectTrace forwards the context's trace identity one hop deeper so the

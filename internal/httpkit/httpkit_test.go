@@ -139,11 +139,18 @@ func TestGetBytes(t *testing.T) {
 	})
 	s := startTestServer(t, mux)
 	c := NewClient(2 * time.Second)
-	data, err := c.GetBytes(context.Background(), s.URL()+"/blob")
+	data, err := c.GetBytes(context.Background(), s.URL()+"/blob", nil)
 	if err != nil || len(data) != 3 {
 		t.Fatalf("blob = %v, %v", data, err)
 	}
-	if _, err := c.GetBytes(context.Background(), s.URL()+"/fail"); !IsStatus(err, http.StatusNotFound) {
+	// A body is appended to dst, in place when dst has room.
+	dst := make([]byte, 1, 16)
+	dst[0] = 9
+	if data, err := c.GetBytes(context.Background(), s.URL()+"/blob", dst); err != nil ||
+		!bytes.Equal(data, []byte{9, 1, 2, 3}) || &data[0] != &dst[0] {
+		t.Fatalf("blob appended to dst = %v, %v; want [9 1 2 3] in dst's array", data, err)
+	}
+	if _, err := c.GetBytes(context.Background(), s.URL()+"/fail", nil); !IsStatus(err, http.StatusNotFound) {
 		t.Fatalf("fail err = %v", err)
 	}
 }
@@ -180,7 +187,7 @@ func TestGetBytesBodyLength(t *testing.T) {
 	s := startTestServer(t, mux)
 	c := NewClient(10 * time.Second)
 	get := func(path string) ([]byte, error) {
-		return c.GetBytes(context.Background(), s.URL()+path)
+		return c.GetBytes(context.Background(), s.URL()+path, nil)
 	}
 
 	if data, err := get("/declared"); err != nil || !bytes.Equal(data, chunk) || cap(data) != len(chunk) {

@@ -339,24 +339,26 @@ func throughputAt(points []CurvePoint, replicas, load int) float64 {
 }
 
 // KneeOf locates the scale-up knee in the highest-load throughput series
-// (indexed by replicas-1): the last replica count whose addition still
-// gained at least gainFrac, and the overall best-vs-one gain. The
-// cross-validation harness applies the same definition to simulated and
-// analytic curves so knees from different worlds are comparable.
+// (indexed by replicas-1): the last replica count that beat the best
+// throughput of every smaller count by at least gainFrac, and the
+// overall best-vs-one gain. A step is measured against the best earlier
+// peak, not the step before it, so a dip that merely recovers (100, 85,
+// 100) gains nothing. The cross-validation harness applies the same
+// definition to simulated and analytic curves so knees from different
+// worlds are comparable.
 func KneeOf(peak []float64, gainFrac float64) (knee int, maxGain float64) {
 	knee, maxGain = 1, 1
 	if len(peak) == 0 || peak[0] <= 0 {
 		return knee, maxGain
 	}
+	best := peak[0]
 	for r := 1; r < len(peak); r++ {
-		if peak[r-1] > 0 && (peak[r]-peak[r-1])/peak[r-1] >= gainFrac {
+		if (peak[r]-best)/best >= gainFrac {
 			knee = r + 1
 		}
-		if g := peak[r] / peak[0]; g > maxGain {
-			maxGain = g
-		}
+		best = max(best, peak[r])
 	}
-	return knee, maxGain
+	return knee, best / peak[0]
 }
 
 // restoreToOne drains a service back to a single replica, banking the

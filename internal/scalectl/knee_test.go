@@ -17,6 +17,11 @@ func TestKneeOf(t *testing.T) {
 		{"never pays", []float64{100, 105, 104}, 1, 1.05, 0.1},
 		{"zero baseline", []float64{0, 50}, 1, 1, 0.1},
 		{"dip then recovery below threshold", []float64{100, 90, 95}, 1, 1, 0.1},
+		// A step gains against the best earlier peak: recovering from a
+		// dip is not scaling.
+		{"dip then recovery to the old peak", []float64{100, 85, 100}, 1, 1, 0.1},
+		{"dip then recovery past the old peak", []float64{100, 85, 115}, 3, 1.15, 0.1},
+		{"rise, dip, rise again", []float64{100, 150, 120, 200}, 4, 2, 0.1},
 
 		// Edge cases the cross-validation harness leans on: these shapes
 		// appear when a service is simply not the bottleneck.

@@ -12,7 +12,8 @@
 // would evict is cached only on its key's second miss: a fixed table of
 // recent first misses (the doorkeeper) keeps images seen once, such as
 // the full-size picture of a product viewed once, from pushing out the
-// previews and icons that pages keep reusing.
+// previews and icons that pages keep reusing. Cached PNGs live off the
+// Go heap and are copied out on every hit (see Cache).
 package image
 
 import (
@@ -31,6 +32,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/httpkit"
 )
@@ -331,6 +333,8 @@ type Service struct {
 	// once across all batches would only queue on the CPU while each
 	// holds its own pooled deflate state.
 	renders chan struct{}
+	// rendered counts the renders run, for /cache/stats.
+	rendered atomic.Int64
 }
 
 // New returns an ImageProvider with a cache of cacheBytes (0 → 64 MiB).
@@ -353,28 +357,58 @@ type Item struct {
 // maxBatch bounds the items of one batch.
 const maxBatch = 64
 
-// Images returns the (possibly cached) PNGs of a batch aligned with
-// items, nil where an item's size is unknown. Each item is one cache
-// lookup. Misses render in parallel, at most one per core across all
+// maxPooledBuf bounds the batch buffers batchBufs keeps: a batch of
+// eight previews is about 100 KB, and a larger buffer is dropped after
+// use rather than pinned in the pool.
+const maxPooledBuf = 1 << 20
+
+// batchBufs recycles the buffers the /images handler copies hits into.
+var batchBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Images returns the PNGs of a batch aligned with items, nil where an
+// item's size is unknown. Each item is one cache lookup, and a hit is a
+// copy. Misses render in parallel, at most one per core across all
 // batches. Concurrent misses for one (product, size), in a batch or
 // across batches, collapse into one render: a cache expiry costs one
 // render.
 func (s *Service) Images(items []Item) [][]byte {
+	out, _ := s.images(nil, items)
+	return out
+}
+
+// images is Images copying every hit onto the end of dst. It returns the
+// images and the grown dst, which the hits alias: the caller may reuse
+// dst once it is done with the images.
+func (s *Service) images(dst []byte, items []Item) ([][]byte, []byte) {
 	out := make([][]byte, len(items))
-	var wg sync.WaitGroup
+	var missBuf [maxBatch]int
+	misses := missBuf[:0]
+	base := len(dst)
 	for i, it := range items {
-		px := it.Size.Pixels()
-		if px == 0 {
+		if it.Size.Pixels() == 0 {
 			continue
 		}
-		key := strconv.FormatInt(it.ID, 10) + "/" + string(it.Size)
-		if data, ok := s.cache.Get(key); ok {
-			out[i] = data
-			continue
+		start := len(dst)
+		var ok bool
+		if dst, ok = s.cache.appendGet(dst, itemKey(it)); ok {
+			out[i] = dst[start:]
+		} else {
+			misses = append(misses, i)
 		}
+	}
+	// An append may have moved dst: point every hit at its final array.
+	for i, off := 0, base; i < len(out); i++ {
+		if n := len(out[i]); out[i] != nil {
+			out[i] = dst[off : off+n : off+n]
+			off += n
+		}
+	}
+	var wg sync.WaitGroup
+	for _, i := range misses {
+		key, id, px := itemKey(items[i]), items[i].ID, items[i].Size.Pixels()
 		wg.Add(1)
 		s.renders <- struct{}{}
-		go func(i int, id int64) {
+		go func() {
 			defer func() { <-s.renders; wg.Done() }()
 			out[i], _ = s.flight.do(key, func() ([]byte, error) {
 				// A flight for key that ended after this item's lookup
@@ -382,17 +416,21 @@ func (s *Service) Images(items []Item) [][]byte {
 				if data, ok := s.cache.peek(key); ok {
 					return data, nil
 				}
+				s.rendered.Add(1)
 				data, err := Render(id, px)
 				if err == nil && s.admit(key, len(data)) {
 					s.cache.Put(key, data)
 				}
 				return data, err
 			})
-		}(i, it.ID)
+		}()
 	}
 	wg.Wait()
-	return out
+	return out, dst
 }
+
+// itemKey is an item's cache key.
+func itemKey(it Item) string { return strconv.FormatInt(it.ID, 10) + "/" + string(it.Size) }
 
 // admit decides whether a fresh render of n bytes goes into the cache.
 // While the key's shard has room it always does: plain LRU. A render
@@ -406,7 +444,7 @@ func (s *Service) admit(key string, n int) bool {
 // Mux returns the HTTP API:
 //
 //	GET /images?item=12:preview&item=7:icon → PNG batch, in request order
-//	GET /cache/stats                         → {hits, misses, bytes, entries}
+//	GET /cache/stats                         → {hits, misses, bytes, entries, renders}
 //
 // A batch response is the PNGs back to back, then a table of one
 // big-endian uint32 length per item (0xFFFFFFFF where that item failed).
@@ -428,7 +466,8 @@ func (s *Service) Mux() *http.ServeMux {
 				items[i] = Item{ID: n, Size: Size(size)}
 			}
 		}
-		pngs := s.Images(items)
+		buf := batchBufs.Get().(*[]byte)
+		pngs, body := s.images((*buf)[:0], items)
 		table := make([]byte, 4*len(pngs))
 		total := len(table)
 		for i, data := range pngs {
@@ -445,12 +484,16 @@ func (s *Service) Mux() *http.ServeMux {
 			_, _ = w.Write(data)
 		}
 		_, _ = w.Write(table)
+		if *buf = body; cap(body) <= maxPooledBuf {
+			batchBufs.Put(buf)
+		}
 	})
 	mux.HandleFunc("GET /cache/stats", func(w http.ResponseWriter, r *http.Request) {
 		hits, misses := s.cache.Stats()
 		httpkit.WriteJSON(w, http.StatusOK, map[string]int64{
 			"hits": hits, "misses": misses,
 			"bytes": s.cache.Bytes(), "entries": int64(s.cache.Len()),
+			"renders": s.rendered.Load(),
 		})
 	})
 	return mux
@@ -472,7 +515,10 @@ func NewClient(baseURL string, hc *httpkit.Client) *Client {
 
 // Images fetches a batch of product images in one round trip, aligned
 // with items, nil where an item failed. An empty batch makes no call.
-func (c *Client) Images(ctx context.Context, items []Item) ([][]byte, error) {
+// The batch body is read into *buf, grown as needed, and the images
+// alias it: the caller may reuse *buf once it is done with them. A nil
+// buf reads into a fresh buffer.
+func (c *Client) Images(ctx context.Context, items []Item, buf *[]byte) ([][]byte, error) {
 	if len(items) == 0 {
 		return nil, nil
 	}
@@ -480,9 +526,16 @@ func (c *Client) Images(ctx context.Context, items []Item) ([][]byte, error) {
 	for _, it := range items {
 		fmt.Fprintf(&q, "&item=%d:%s", it.ID, it.Size)
 	}
-	body, err := c.http.GetBytes(ctx, c.base+"/images?"+q.String()[1:])
+	var dst []byte
+	if buf != nil {
+		dst = (*buf)[:0]
+	}
+	body, err := c.http.GetBytes(ctx, c.base+"/images?"+q.String()[1:], dst)
 	if err != nil {
 		return nil, err
+	}
+	if buf != nil {
+		*buf = body
 	}
 	return splitBatch(body, len(items))
 }

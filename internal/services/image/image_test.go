@@ -191,7 +191,7 @@ func cacheStats(t *testing.T, srv *httptest.Server) map[string]int64 {
 
 func TestHTTPAPI(t *testing.T) {
 	srv, c := batchServer(t, New(1<<20))
-	pngs, err := c.Images(context.Background(), []Item{{11, SizePreview}})
+	pngs, err := c.Images(context.Background(), []Item{{11, SizePreview}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestHTTPAPI(t *testing.T) {
 func TestBatchKeepsRequestOrder(t *testing.T) {
 	_, c := batchServer(t, New(1<<20))
 	items := []Item{{3, SizeIcon}, {1, SizeFull}, {2, SizePreview}, {3, SizeIcon}, {1, SizeLarge}}
-	pngs, err := c.Images(context.Background(), items)
+	pngs, err := c.Images(context.Background(), items, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,14 +228,14 @@ func TestBatchKeepsRequestOrder(t *testing.T) {
 func TestBatchFailsOnlyBadSlots(t *testing.T) {
 	srv, c := batchServer(t, New(1<<20))
 	ctx := context.Background()
-	pngs, err := c.Images(ctx, []Item{{1, SizeIcon}, {2, Size("huge")}, {3, SizeIcon}})
+	pngs, err := c.Images(ctx, []Item{{1, SizeIcon}, {2, Size("huge")}, {3, SizeIcon}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pngs[0] == nil || pngs[1] != nil || pngs[2] == nil {
 		t.Fatalf("unknown size: slots nil = %v %v %v, want false true false", pngs[0] == nil, pngs[1] == nil, pngs[2] == nil)
 	}
-	body, err := c.http.GetBytes(ctx, srv.URL+"/images?item=1:icon&item=x:icon&item=:icon&item=4&item=3:icon")
+	body, err := c.http.GetBytes(ctx, srv.URL+"/images?item=1:icon&item=x:icon&item=:icon&item=4&item=3:icon", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +252,11 @@ func TestBatchFailsOnlyBadSlots(t *testing.T) {
 func TestBatchEmpty(t *testing.T) {
 	srv, c := batchServer(t, New(1<<20))
 	ctx := context.Background()
-	body, err := c.http.GetBytes(ctx, srv.URL+"/images")
+	body, err := c.http.GetBytes(ctx, srv.URL+"/images", nil)
 	if err != nil || len(body) != 0 {
 		t.Fatalf("empty batch = %d bytes, %v; want 0 bytes", len(body), err)
 	}
-	pngs, err := c.Images(ctx, nil)
+	pngs, err := c.Images(ctx, nil, nil)
 	if err != nil || len(pngs) != 0 {
 		t.Fatalf("client empty batch = %v, %v", pngs, err)
 	}
@@ -271,10 +271,10 @@ func TestBatchLimit(t *testing.T) {
 	for i := range items {
 		items[i] = Item{int64(i % 4), SizeIcon}
 	}
-	if _, err := c.Images(context.Background(), items); !httpkit.IsStatus(err, 400) {
+	if _, err := c.Images(context.Background(), items, nil); !httpkit.IsStatus(err, 400) {
 		t.Fatalf("%d items: err = %v, want 400", len(items), err)
 	}
-	pngs, err := c.Images(context.Background(), items[:maxBatch])
+	pngs, err := c.Images(context.Background(), items[:maxBatch], nil)
 	if err != nil || len(pngs) != maxBatch || pngs[maxBatch-1] == nil {
 		t.Fatalf("%d items: %d images, %v", maxBatch, len(pngs), err)
 	}
@@ -303,7 +303,7 @@ func TestClientRejectsMisalignedBatch(t *testing.T) {
 			_, _ = w.Write(body)
 		}))
 		c := NewClient(srv.URL, httpkit.NewClient(time.Second))
-		if pngs, err := c.Images(context.Background(), []Item{{1, SizeIcon}, {2, SizeIcon}}); err == nil {
+		if pngs, err := c.Images(context.Background(), []Item{{1, SizeIcon}, {2, SizeIcon}}, nil); err == nil {
 			t.Errorf("%s: accepted as %q", name, pngs)
 		}
 		srv.Close()
@@ -320,7 +320,7 @@ func TestBatchCountsEachLookupOnce(t *testing.T) {
 	srv, c := batchServer(t, New(1<<20))
 	items := []Item{{1, SizeIcon}, {2, SizeIcon}, {1, SizeIcon}, {9, Size("huge")}}
 	for round := 1; round <= 3; round++ {
-		if _, err := c.Images(context.Background(), items); err != nil {
+		if _, err := c.Images(context.Background(), items, nil); err != nil {
 			t.Fatal(err)
 		}
 		stats := cacheStats(t, srv)

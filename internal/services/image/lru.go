@@ -3,6 +3,7 @@ package image
 import (
 	"container/list"
 	"hash/fnv"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -21,14 +22,33 @@ type lruShard struct {
 	misses atomic.Int64
 }
 
+// lruEntry is one cached image. Its data lives in a mapping of its own,
+// off the Go heap, and never leaves the shard lock: readers copy it out.
 type lruEntry struct {
 	key  string
 	data []byte
 }
 
+// mapBytes allocates an entry's memory: sysMap, which tests replace to
+// inject failures.
+var mapBytes = sysMap
+
+// liveMappings counts entry mappings not yet unmapped, across caches.
+var liveMappings atomic.Int64
+
 // Cache is a byte-bounded, sharded LRU for encoded images. Sharding keeps
 // lock contention low under the Image service's fan-in — the same
 // mechanism the original TeaStore's image cache tunes.
+//
+// Entries are kept off the Go heap, each in its own anonymous mapping
+// (sysMap), so the collector neither scans them nor sizes its goal by
+// them: a cache of 23 MiB costs 23 MiB, not the twice that a heap under
+// the default GOGC grows to. The price is the copy-out rule: every read
+// copies an entry's bytes out while it holds the shard lock, and an
+// entry is unmapped under the same lock when it is evicted or replaced,
+// so no slice of a mapping is ever seen unlocked. A Cache needs no
+// Close: a finalizer on each shard unmaps what it still holds once the
+// Cache is unreachable.
 type Cache struct {
 	shards []*lruShard
 }
@@ -48,13 +68,35 @@ func NewCache(capacityBytes int64, nShards int) *Cache {
 	}
 	c := &Cache{shards: make([]*lruShard, nShards)}
 	for i := range c.shards {
-		c.shards[i] = &lruShard{
+		s := &lruShard{
 			capacity: per,
 			order:    list.New(),
 			items:    map[string]*list.Element{},
 		}
+		runtime.SetFinalizer(s, (*lruShard).release)
+		c.shards[i] = s
 	}
 	return c
+}
+
+// release unmaps every entry the shard holds.
+func (s *lruShard) release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for el := s.order.Front(); el != nil; el = el.Next() {
+		unmap(el.Value.(*lruEntry).data)
+	}
+	s.order.Init()
+	clear(s.items)
+	s.bytes = 0
+}
+
+// unmap frees one entry's mapping.
+func unmap(data []byte) {
+	// Munmap of a live mapping cannot fail; if it did, the pages would
+	// only leak.
+	_ = sysUnmap(data)
+	liveMappings.Add(-1)
 }
 
 func (c *Cache) shard(key string) *lruShard {
@@ -63,15 +105,21 @@ func (c *Cache) shard(key string) *lruShard {
 	return c.shards[int(h.Sum32())%len(c.shards)]
 }
 
-// Get returns the cached bytes and whether they were present.
+// Get returns a copy of the cached bytes and whether they were present.
 func (c *Cache) Get(key string) ([]byte, bool) {
+	return c.appendGet(nil, key)
+}
+
+// appendGet appends the bytes cached under key to dst and reports
+// whether they were present; a miss returns dst unchanged. Like Get, it
+// counts one lookup and marks the entry most recently used.
+func (c *Cache) appendGet(dst []byte, key string) ([]byte, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	el, ok := s.items[key]
-	var data []byte
 	if ok {
 		s.order.MoveToFront(el)
-		data = el.Value.(*lruEntry).data
+		dst = append(dst, el.Value.(*lruEntry).data...)
 	}
 	s.mu.Unlock()
 
@@ -80,7 +128,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	} else {
 		s.misses.Add(1)
 	}
-	return data, ok
+	return dst, ok
 }
 
 // peek is Get without counting a lookup or touching recency.
@@ -89,7 +137,7 @@ func (c *Cache) peek(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
-		return el.Value.(*lruEntry).data, true
+		return append([]byte(nil), el.Value.(*lruEntry).data...), true
 	}
 	return nil, false
 }
@@ -111,36 +159,55 @@ func (c *Cache) wouldEvict(key string, n int) bool {
 	return s.bytes+size > s.capacity
 }
 
-// Put stores data under key, evicting least-recently-used entries from the
-// key's shard until it fits. Values larger than a shard are not cached.
+// Put stores a copy of data under key, evicting least-recently-used
+// entries from the key's shard until it fits. Values larger than a shard
+// are not cached, and neither is data when no memory can be mapped for
+// it: the key is then left uncached. The cache charges len(data), not
+// the pages the copy occupies.
 func (c *Cache) Put(key string, data []byte) {
 	s := c.shard(key)
 	size := int64(len(data))
 	if size > s.capacity {
 		return
 	}
+	// A mapping of zero bytes is invalid: an empty value takes one.
+	mem, err := mapBytes(max(len(data), 1))
+	if err == nil {
+		liveMappings.Add(1)
+		mem = mem[:copy(mem, data)]
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
+	el, ok := s.items[key]
+	if err != nil {
+		if ok {
+			s.evict(el)
+		}
+		return
+	}
+	if ok {
 		// Replace in place.
 		old := el.Value.(*lruEntry)
 		s.bytes += size - int64(len(old.data))
-		old.data = data
+		unmap(old.data)
+		old.data = mem
 		s.order.MoveToFront(el)
 	} else {
-		s.items[key] = s.order.PushFront(&lruEntry{key: key, data: data})
+		s.items[key] = s.order.PushFront(&lruEntry{key: key, data: mem})
 		s.bytes += size
 	}
 	for s.bytes > s.capacity {
-		back := s.order.Back()
-		if back == nil {
-			break
-		}
-		victim := back.Value.(*lruEntry)
-		s.order.Remove(back)
-		delete(s.items, victim.key)
-		s.bytes -= int64(len(victim.data))
+		s.evict(s.order.Back())
 	}
+}
+
+// evict removes one entry and unmaps its memory; s.mu must be held.
+func (s *lruShard) evict(el *list.Element) {
+	victim := el.Value.(*lruEntry)
+	s.order.Remove(el)
+	delete(s.items, victim.key)
+	s.bytes -= int64(len(victim.data))
+	unmap(victim.data)
 }
 
 // Bytes returns total cached bytes.

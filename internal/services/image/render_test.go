@@ -3,6 +3,7 @@ package image
 import (
 	"bytes"
 	"compress/zlib"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -285,12 +286,12 @@ func TestRenderPoolReuseKeepsDeterminism(t *testing.T) {
 }
 
 // TestConcurrentMissesCollapseToOneRender runs 16 concurrent batches
-// that all miss on the same two keys. Every caller of a collapsed
-// render receives the leader's slice, and every independent render
-// allocates its own, so one backing array per key across all 16 results
-// proves each key rendered once.
+// that all miss on the same two keys through the HTTP API: /cache/stats
+// must count one render per key, every batch must carry the same bytes,
+// and every item must be exactly one lookup.
 func TestConcurrentMissesCollapseToOneRender(t *testing.T) {
 	s := New(0)
+	srv, c := batchServer(t, s)
 	items := []Item{{7, SizeFull}, {8, SizeFull}}
 	var started sync.WaitGroup
 	var results [16][][]byte
@@ -301,25 +302,29 @@ func TestConcurrentMissesCollapseToOneRender(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started.Wait()
-			results[i] = s.Images(items)
+			results[i], _ = c.Images(context.Background(), items, nil)
 		}(i)
 	}
 	started.Done()
 	wg.Wait()
 	for i := range results {
 		for k := range items {
-			if len(results[i][k]) == 0 || &results[i][k][0] != &results[0][k][0] {
-				t.Fatalf("batch %d item %d holds a second render", i, k)
+			if len(results[i]) != len(items) || len(results[i][k]) == 0 || !bytes.Equal(results[i][k], results[0][k]) {
+				t.Fatalf("batch %d item %d differs from batch 0's", i, k)
 			}
 		}
 	}
+	stats := cacheStats(t, srv)
+	if stats["renders"] != int64(len(items)) {
+		t.Fatalf("%d renders, want one per key (%d)", stats["renders"], len(items))
+	}
 	// Each item is one lookup, hit or miss, and the cache holds each key
 	// once.
-	if hits, misses := s.Cache().Stats(); hits+misses != int64(len(results)*len(items)) {
+	if hits, misses := stats["hits"], stats["misses"]; hits+misses != int64(len(results)*len(items)) {
 		t.Fatalf("%d hits + %d misses, want %d lookups", hits, misses, len(results)*len(items))
 	}
-	if s.Cache().Len() != len(items) {
-		t.Fatalf("cache holds %d entries, want %d", s.Cache().Len(), len(items))
+	if stats["entries"] != int64(len(items)) {
+		t.Fatalf("cache holds %d entries, want %d", stats["entries"], len(items))
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/db"
@@ -249,5 +250,61 @@ func TestCatalogTextCannotForgeImageSlot(t *testing.T) {
 		if !bytes.Equal(got.Body.Bytes(), f.referencePage(t, ref, httptest.NewRequest(http.MethodGet, path, nil))) {
 			t.Errorf("%s differs from the reference template", path)
 		}
+	}
+}
+
+// TestConcurrentPagesMatchReference serves category and product pages
+// over distinct products from concurrent goroutines. Each page reads its
+// images into a pooled batch body; a body released or reused while a
+// page still splices from it would show as a page that differs from the
+// old markup's.
+func TestConcurrentPagesMatchReference(t *testing.T) {
+	f := newFixture(t)
+	ref := referenceTemplates(t)
+	want := map[string][]byte{}
+	for _, c := range f.store.Categories() {
+		_, total, err := f.store.ProductsByCategory(c.ID, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for page := 0; page*productsPerPage < total; page++ {
+			want[fmt.Sprintf("/category/%d?page=%d", c.ID, page)] = nil
+		}
+		products, _, err := f.store.ProductsByCategory(c.ID, 0, total)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range products {
+			want["/product/"+int64Str(p.ID)] = nil
+		}
+	}
+	paths := make([]string, 0, len(want))
+	for path := range want {
+		want[path] = f.referencePage(t, ref, httptest.NewRequest(http.MethodGet, path, nil))
+		paths = append(paths, path)
+	}
+	const workers = 8
+	mux := f.svc.Mux()
+	errs := make(chan string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range paths {
+				path := paths[(w*7+i)%len(paths)]
+				rec := httptest.NewRecorder()
+				mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+				if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want[path]) {
+					errs <- fmt.Sprintf("%s: status %d, page differs from the reference template", path, rec.Code)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

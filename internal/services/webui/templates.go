@@ -190,7 +190,18 @@ var (
 	pageBufs = sync.Pool{New: func() any { return new(pageBuf) }}
 	// b64Scratch recycles appendImgSrc's base64 encode buffers.
 	b64Scratch = sync.Pool{New: func() any { return new([]byte) }}
+	// bodyBufs recycles the image batch bodies the category and product
+	// pages read their images into.
+	bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 )
+
+// releaseBody returns a batch body to bodyBufs once the page that
+// spliced its images has been rendered.
+func releaseBody(b *[]byte) {
+	if cap(*b) <= maxPooledBuf {
+		bodyBufs.Put(b)
+	}
+}
 
 // render answers with one page. It executes the named template into a
 // pooled buffer, splices pngs in order at the page's image markers, and

@@ -209,14 +209,16 @@ func (productCard) Img() template.HTMLAttr { return imgMarker }
 
 // images fetches one page's images in a single batch call: the lead
 // items, then one image of size per product, and returns them in that
-// order. A failed call or item yields the gray placeholder rather than
-// failing the page or emitting a broken image tag.
-func (s *Service) images(ctx context.Context, products []db.Product, size imagesvc.Size, lead ...imagesvc.Item) [][]byte {
+// order. The batch body is read into *body, which the images alias until
+// the caller releases it. A failed call or item yields the gray
+// placeholder rather than failing the page or emitting a broken image
+// tag.
+func (s *Service) images(ctx context.Context, body *[]byte, products []db.Product, size imagesvc.Size, lead ...imagesvc.Item) [][]byte {
 	items := lead
 	for _, p := range products {
 		items = append(items, imagesvc.Item{ID: p.ID, Size: size})
 	}
-	pngs, err := s.backends.Image.Images(ctx, items)
+	pngs, err := s.backends.Image.Images(ctx, items, body)
 	if err != nil {
 		pngs = make([][]byte, len(items))
 	}
@@ -318,7 +320,9 @@ func (s *Service) handleCategory(w http.ResponseWriter, r *http.Request) {
 		s.renderError(w, r, http.StatusBadGateway, "products unavailable: %v", err)
 		return
 	}
-	pngs := s.images(r.Context(), listing.Products, imagesvc.SizePreview)
+	body := bodyBufs.Get().(*[]byte)
+	defer releaseBody(body)
+	pngs := s.images(r.Context(), body, listing.Products, imagesvc.SizePreview)
 	render(w, http.StatusOK, "category", struct {
 		nav
 		Category db.Category
@@ -352,7 +356,9 @@ func (s *Service) handleProduct(w http.ResponseWriter, r *http.Request) {
 	}
 	recs := s.recommended(r.Context(), sess.claims.UserID, []int64{p.ID}, 4)
 	// One batch carries the full image and the strip's icons.
-	pngs := s.images(r.Context(), recs, imagesvc.SizeIcon, imagesvc.Item{ID: p.ID, Size: imagesvc.SizeFull})
+	body := bodyBufs.Get().(*[]byte)
+	defer releaseBody(body)
+	pngs := s.images(r.Context(), body, recs, imagesvc.SizeIcon, imagesvc.Item{ID: p.ID, Size: imagesvc.SizeFull})
 	render(w, http.StatusOK, "product", productPage{
 		s.nav(r.Context(), p.Name, sess), p, price(p.PriceCents), cards(recs, pngs[1:]), pngs[0],
 	}, pngs)

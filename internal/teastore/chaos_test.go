@@ -155,7 +155,7 @@ func TestStackShedsUnderOverload(t *testing.T) {
 		t.Fatalf("breakdown table lacks shed column:\n%s", table)
 	}
 	hc := httpkit.NewClient(2 * time.Second)
-	raw, err := hc.GetBytes(context.Background(), st.WebUIURL+"/metrics")
+	raw, err := hc.GetBytes(context.Background(), st.WebUIURL+"/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

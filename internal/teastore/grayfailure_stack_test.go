@@ -66,7 +66,7 @@ func TestKillReplicaLeavesLeaseAndServesViaSibling(t *testing.T) {
 	// connection and fail over to the survivor.
 	c := balancedClient(st, 2*time.Second)
 	for i := 0; i < 20; i++ {
-		if _, err := c.GetBytes(context.Background(), imageTarget(i)); err != nil {
+		if _, err := c.GetBytes(context.Background(), imageTarget(i), nil); err != nil {
 			t.Fatalf("balanced image fetch %d failed after crash: %v", i, err)
 		}
 	}

@@ -128,7 +128,7 @@ func driveImages(t *testing.T, c *httpkit.Client, workers int, d time.Duration) 
 		go func(w int) {
 			defer wg.Done()
 			for i := w; time.Now().Before(deadline); i++ {
-				if _, err := c.GetBytes(context.Background(), imageTarget(i)); err != nil {
+				if _, err := c.GetBytes(context.Background(), imageTarget(i), nil); err != nil {
 					fail.Add(1)
 					firstErr.CompareAndSwap(nil, err)
 				} else {

@@ -34,7 +34,7 @@ func TestStartReplicaAtRuntime(t *testing.T) {
 	// Both replicas serve traffic through the balancer.
 	c := balancedClient(st, 2*time.Second)
 	for i := 0; i < 60; i++ {
-		if _, err := c.GetBytes(context.Background(), imageTarget(i)); err != nil {
+		if _, err := c.GetBytes(context.Background(), imageTarget(i), nil); err != nil {
 			t.Fatalf("balanced image fetch %d failed: %v", i, err)
 		}
 	}
@@ -175,7 +175,7 @@ func TestBalancerStopsRoutingToDrainedReplica(t *testing.T) {
 
 	victim := st.serversOf("image")[1]
 	for i := 0; i < 40; i++ {
-		if _, err := c.GetBytes(context.Background(), imageTarget(i)); err != nil {
+		if _, err := c.GetBytes(context.Background(), imageTarget(i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,7 +190,7 @@ func TestBalancerStopsRoutingToDrainedReplica(t *testing.T) {
 	time.Sleep(150 * time.Millisecond)
 	frozen := victim.MetricsSnapshot().Requests
 	for i := 0; i < 60; i++ {
-		if _, err := c.GetBytes(context.Background(), imageTarget(i)); err != nil {
+		if _, err := c.GetBytes(context.Background(), imageTarget(i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,7 +283,7 @@ func TestAutoscaleAcceptance(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := c.GetBytes(context.Background(), imageTarget(i)); err != nil {
+				if _, err := c.GetBytes(context.Background(), imageTarget(i), nil); err != nil {
 					failCount.Add(1)
 					firstErr.CompareAndSwap(nil, err)
 				} else {
