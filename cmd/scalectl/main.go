@@ -9,25 +9,15 @@
 //	scalectl [-out SCALEUP.json] [-quick]
 //	         [-max-replicas 3] [-loads 4,12,24] [-step 5s]
 //	         [-services webui,auth,persistence,recommender,image,registry]
-//	         [-caps image=2,webui=6]
-//	         [-placement packed,ccx[,numa]] [-topology small]
-//	         [-slot-cores 3] [-cap-per-core 4] [-placement-replicas 3]
-//	         [-placement-gate]
+//	         [-caps image=2,webui=6] [-service-latency webui=10ms]
 //
 // -quick compresses the sweep (small catalog, short steps) for CI smoke
 // runs; drop it for measurement-grade curves. -caps bounds each replica's
 // concurrent requests — the in-process analogue of the paper's
 // per-container CPU limits; without caps a single-process stack has no
-// per-service bottleneck and every knee lands at one replica.
-//
-// -placement additionally runs the topology-aware placement comparison:
-// one fresh stack per named policy, webui held at -placement-replicas
-// replicas, every replica bound to a placement slot on the -topology
-// machine model so its admission cap reflects its slot's effective core
-// share. The per-policy curves and the best-policy gain over packed land
-// in the report's "placement" block — the repo's reproduction of the
-// paper's +22 % throughput / −18 % p99 headline. -placement-gate exits
-// non-zero when the ccx-aware policy does not at least match packed.
+// per-service bottleneck and every knee lands at one replica. A
+// placement policy's effect on this stack is only the caps it would set:
+// `topoviz -placement all` prints them (placement.Predict).
 package main
 
 import (
@@ -44,10 +34,8 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/httpkit"
-	"repro/internal/placement"
 	"repro/internal/scalectl"
 	"repro/internal/teastore"
-	"repro/internal/topology"
 )
 
 func main() {
@@ -61,12 +49,6 @@ func main() {
 	latencySpec := flag.String("service-latency", "", "injected per-request service time, e.g. image=10ms,auth=2ms — models per-instance work so caps translate into finite capacity")
 	seed := flag.Int64("seed", 1, "catalog and load seed")
 	host := flag.String("host", "127.0.0.1", "address to bind service listeners on")
-	placementSpec := flag.String("placement", "", "comma-separated placement policies to compare (packed,ccx,numa or \"all\"); empty skips the placement sweep")
-	topologySpec := flag.String("topology", "small", "machine model slots are drawn from: small, rome1s, rome2s, rome1s-nps4")
-	slotCores := flag.Int("slot-cores", 3, "each placement slot's CPU budget in physical cores")
-	capPerCore := flag.Int("cap-per-core", 4, "admission cap granted per effective slot core")
-	placementReplicas := flag.Int("placement-replicas", 3, "webui replicas held fixed while placement policies vary")
-	placementGate := flag.Bool("placement-gate", false, "exit non-zero unless the ccx policy's peak throughput ≥ packed's")
 	flag.Parse()
 
 	caps, err := parseCaps(*capsSpec)
@@ -148,30 +130,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *placementSpec != "" {
-		block, mach, err := runPlacementSweep(ctx, placementSweep{
-			policies:   *placementSpec,
-			topology:   *topologySpec,
-			slotCores:  *slotCores,
-			capPerCore: *capPerCore,
-			replicas:   *placementReplicas,
-			host:       *host,
-			catalog:    catalog,
-			caps:       caps,
-			chaos:      chaos,
-			loads:      loads,
-			step:       stepDur,
-			seed:       *seed,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalectl:", err)
-			os.Exit(1)
-		}
-		info := scalectl.MachineInfoOf(mach)
-		report.Machine = &info
-		report.Placement = block
-	}
-
 	if err := report.WriteFile(*out); err != nil {
 		fmt.Fprintln(os.Stderr, "scalectl:", err)
 		os.Exit(1)
@@ -196,153 +154,7 @@ func main() {
 		fmt.Printf("  %-12s measured %5.1f%%  reference %5.1f%%\n",
 			svc, 100*report.MeasuredShares[svc], 100*report.ReferenceShares[svc])
 	}
-	if b := report.Placement; b != nil {
-		fmt.Printf("\nplacement (%s at %d replicas, slot=%d cores, cap/core=%d):\n",
-			b.Service, b.Replicas, b.SlotCores, b.CapPerCore)
-		for _, c := range b.Policies {
-			fmt.Printf("  %-8s peak %7.1f rps, p99 %6.1fms, caps %v\n",
-				c.Policy, c.PeakRPS, c.P99AtPeakMs, c.Caps)
-		}
-		fmt.Printf("  best: %s — %+.1f%% throughput, %+.1f%% p99 vs packed\n",
-			b.BestPolicy, 100*(b.BestGainVsPacked-1), 100*b.BestP99DeltaVsPacked)
-	}
 	fmt.Printf("\nwrote %s\n", *out)
-
-	// The gate runs after the report is written so a failing run still
-	// leaves the artifact behind for inspection; the exit status is the
-	// gate — CI must not pipe this through anything that swallows it.
-	if *placementGate {
-		if report.Placement == nil {
-			fmt.Fprintln(os.Stderr, "scalectl: -placement-gate needs -placement")
-			os.Exit(1)
-		}
-		if err := report.Placement.Gate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println("placement gate: ccx ≥ packed ✓")
-	}
-}
-
-// placementSweep carries the flag-derived inputs of the placement
-// comparison.
-type placementSweep struct {
-	policies   string
-	topology   string
-	slotCores  int
-	capPerCore int
-	replicas   int
-	host       string
-	catalog    db.GenerateSpec
-	caps       map[string]int
-	chaos      map[string]httpkit.ChaosConfig
-	loads      []int
-	step       time.Duration
-	seed       int64
-}
-
-// runPlacementSweep boots one fresh stack per policy — same catalog,
-// same injected latencies, same replica count, only the placement policy
-// varied — and measures each one's load curve end-to-end.
-func runPlacementSweep(ctx context.Context, sw placementSweep) (*scalectl.PlacementBlock, *topology.Machine, error) {
-	mach, err := parseTopology(sw.topology)
-	if err != nil {
-		return nil, nil, err
-	}
-	policies, err := parsePolicies(sw.policies)
-	if err != nil {
-		return nil, nil, err
-	}
-	block := &scalectl.PlacementBlock{
-		Service:    "webui",
-		Replicas:   sw.replicas,
-		SlotCores:  sw.slotCores,
-		CapPerCore: sw.capPerCore,
-	}
-	for _, pol := range policies {
-		fmt.Printf("\nplacement sweep: policy=%s, webui×%d on %s\n", pol, sw.replicas, mach.Name())
-		curve, err := measureOnePolicy(ctx, sw, mach, pol)
-		if err != nil {
-			return nil, nil, err
-		}
-		block.Policies = append(block.Policies, curve)
-	}
-	if err := block.Finalize(); err != nil {
-		return nil, nil, err
-	}
-	return block, mach, nil
-}
-
-// measureOnePolicy boots, measures, and tears down one policy's stack.
-func measureOnePolicy(ctx context.Context, sw placementSweep, mach *topology.Machine, policy string) (scalectl.PolicyCurve, error) {
-	stack, err := teastore.Start(teastore.Config{
-		Host:               sw.host,
-		Catalog:            sw.catalog,
-		ServiceMaxInflight: sw.caps,
-		Chaos:              sw.chaos,
-		Replicas:           map[string]int{"webui": sw.replicas},
-		Placement: &teastore.PlacementConfig{
-			Machine:    mach,
-			Policy:     policy,
-			SlotCores:  sw.slotCores,
-			CapPerCore: sw.capPerCore,
-		},
-	})
-	if err != nil {
-		return scalectl.PolicyCurve{}, fmt.Errorf("booting %s stack: %w", policy, err)
-	}
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		stack.Shutdown(sctx)
-	}()
-	return scalectl.MeasurePolicyCurve(ctx, stack, policy, "webui", scalectl.SweepConfig{
-		Loads:        sw.loads,
-		StepDuration: sw.step,
-		Warmup:       sw.step / 5,
-		ThinkScale:   0.02,
-		CatalogUsers: sw.catalog.Users,
-		Seed:         sw.seed,
-		Log: func(format string, args ...any) {
-			fmt.Printf("  "+format+"\n", args...)
-		},
-	})
-}
-
-// parseTopology resolves a machine-model preset by name.
-func parseTopology(name string) (*topology.Machine, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "small":
-		return topology.Small(), nil
-	case "rome1s":
-		return topology.Rome1S(), nil
-	case "rome2s":
-		return topology.Rome2S(), nil
-	case "rome1s-nps4", "nps4":
-		return topology.Rome1SNPS4(), nil
-	default:
-		return nil, fmt.Errorf("unknown -topology %q (small, rome1s, rome2s, rome1s-nps4)", name)
-	}
-}
-
-// parsePolicies expands the -placement spec.
-func parsePolicies(spec string) ([]string, error) {
-	if strings.EqualFold(strings.TrimSpace(spec), "all") {
-		return placement.PolicyNames(), nil
-	}
-	known := map[string]bool{}
-	for _, p := range placement.PolicyNames() {
-		known[p] = true
-	}
-	var out []string
-	for _, part := range strings.Split(spec, ",") {
-		p := strings.ToLower(strings.TrimSpace(part))
-		if !known[p] {
-			return nil, fmt.Errorf("unknown -placement policy %q (packed, ccx, numa)", part)
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // parseCaps parses "image=2,webui=6" into per-service inflight caps.

@@ -1,19 +1,21 @@
 // Command topoviz prints the modeled server topologies: the containment
 // tree (socket → NUMA → CCD → CCX → cores) and the NUMA distance matrix.
-// With -placement it additionally renders where a placement policy puts
-// the stack's replicas on that machine — the service → cell assignment
-// next to the machine diagram.
+// With -placement it additionally renders placement.Predict: where a
+// policy puts the stack's replicas on that machine, each replica's
+// admission cap, and Σ caps per service with its ratio against packed —
+// the throughput ratio a cap-bound real stack reaches.
 //
 // Usage:
 //
 //	topoviz [-machine rome-2s]
-//	        [-placement ccx] [-replicas webui=3,image=2] [-slot-cores 3]
+//	        [-placement packed|ccx|numa|all] [-replicas webui=3,image=2]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,10 +26,8 @@ import (
 
 func main() {
 	name := flag.String("machine", "rome-2s", "preset: rome-1s, rome-2s, rome-1s-nps4, small")
-	policyName := flag.String("placement", "", "render a placement policy's assignment: packed, ccx, numa")
+	policyName := flag.String("placement", "", "render a placement policy's predicted assignment: packed, ccx, numa or all")
 	replicasSpec := flag.String("replicas", "", "replica counts to place, e.g. webui=3,image=2 (default: one per replicable service)")
-	slotCores := flag.Int("slot-cores", 3, "each slot's CPU budget in physical cores")
-	capPerCore := flag.Int("cap-per-core", 4, "admission cap granted per effective slot core")
 	flag.Parse()
 
 	machines := map[string]*topology.Machine{
@@ -53,47 +53,60 @@ func main() {
 	if *policyName == "" {
 		return
 	}
-	if err := renderPlacement(m, *policyName, *replicasSpec, *slotCores, *capPerCore); err != nil {
+	if err := renderPlacement(m, *policyName, *replicasSpec); err != nil {
 		fmt.Fprintf(os.Stderr, "topoviz: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// renderPlacement assigns the requested replicas through the named
-// policy — the same Assign loop the stack runs at boot — and prints the
-// resulting service → slot table plus per-cell occupancy.
-func renderPlacement(m *topology.Machine, policyName, replicasSpec string, slotCores, capPerCore int) error {
-	pol, err := placement.NewPolicy(policyName, m, nil, slotCores)
+// renderPlacement prints the named policy's (or every policy's)
+// predicted service → slot table and per-cell occupancy, then Σ caps per
+// service with the ratio against packed.
+func renderPlacement(m *topology.Machine, policyName, replicasSpec string) error {
+	if policyName != "all" && !slices.Contains(placement.PolicyNames(), policyName) {
+		return fmt.Errorf("unknown -placement %q (have %s, all)", policyName, strings.Join(placement.PolicyNames(), ", "))
+	}
+	replicas, err := parseReplicas(replicasSpec)
 	if err != nil {
 		return err
 	}
-	order, err := parseReplicas(replicasSpec)
+	preds, err := placement.Predict(m, replicas)
 	if err != nil {
 		return err
 	}
-
-	var slots []placement.Slot
-	for _, svc := range order {
-		slot, err := pol.Assign(svc, slots)
-		if err != nil {
-			return fmt.Errorf("placing %s: %w", svc, err)
+	var shown []placement.Prediction
+	for _, p := range preds {
+		if policyName == "all" || p.Policy == policyName {
+			shown = append(shown, p)
 		}
-		slots = append(slots, slot)
+	}
+	for _, p := range shown {
+		fmt.Printf("\nplacement %s (slot=%d cores, cap/core=%d):\n", p.Policy, placement.SlotCores, placement.CapPerCore)
+		fmt.Printf("  %-14s %-22s %s\n", "replica", "slot", "cap")
+		seq := map[string]int{}
+		for i, slot := range p.Slots {
+			seq[slot.Service]++
+			fmt.Printf("  %-14s %-22s %3d\n",
+				fmt.Sprintf("%s/%d", slot.Service, seq[slot.Service]), slot.Label(), p.Caps[i])
+		}
+		fmt.Println("\ncell occupancy:")
+		for _, line := range cellOccupancy(m, p.Slots) {
+			fmt.Println("  " + line)
+		}
 	}
 
-	fmt.Printf("\nplacement %s (slot=%d cores, cap/core=%d):\n", pol.Name(), slotCores, capPerCore)
-	fmt.Printf("  %-14s %-22s %s\n", "replica", "slot", "cap")
-	seq := map[string]int{}
-	for _, slot := range slots {
-		seq[slot.Service]++
-		fmt.Printf("  %-14s %-22s %3d\n",
-			fmt.Sprintf("%s/%d", slot.Service, seq[slot.Service]),
-			slot.Label(), placement.SlotCap(slot, slots, m, capPerCore))
+	fmt.Println("\nΣ admission caps per service (ratio vs packed):")
+	row := "  policy  "
+	for _, svc := range placement.BootOrder {
+		row += fmt.Sprintf(" %-14s", svc)
 	}
-
-	fmt.Println("\ncell occupancy:")
-	for _, line := range cellOccupancy(m, slots) {
-		fmt.Println("  " + line)
+	fmt.Println(strings.TrimRight(row, " "))
+	for _, p := range shown {
+		row = fmt.Sprintf("  %-8s", p.Policy)
+		for _, svc := range placement.BootOrder {
+			row += fmt.Sprintf(" %-14s", fmt.Sprintf("%d (%.3f)", p.Sum[svc], p.VsPacked[svc]))
+		}
+		fmt.Println(strings.TrimRight(row, " "))
 	}
 	return nil
 }
@@ -133,32 +146,20 @@ func cellOccupancy(m *topology.Machine, slots []placement.Slot) []string {
 	return out
 }
 
-// parseReplicas expands "webui=3,image=2" into the boot-order service
-// sequence the stack would place: services in boot order, each service's
-// replicas consecutively. Empty means one replica of each replicable
-// service.
-func parseReplicas(spec string) ([]string, error) {
-	bootOrder := []string{"persistence", "auth", "recommender", "image", "webui"}
-	counts := map[string]int{}
-	for _, svc := range bootOrder {
-		counts[svc] = 1
+// parseReplicas parses "webui=3,image=2" into replica counts;
+// placement.Predict checks the services and fills in one for the rest.
+func parseReplicas(spec string) (map[string]int, error) {
+	out := map[string]int{}
+	if spec == "" {
+		return out, nil
 	}
-	if spec != "" {
-		for _, part := range strings.Split(spec, ",") {
-			name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-			n, err := strconv.Atoi(val)
-			if !ok || err != nil || counts[name] == 0 || n < 1 {
-				return nil, fmt.Errorf("bad -replicas element %q, want service=count (services: %s)",
-					part, strings.Join(bootOrder, ", "))
-			}
-			counts[name] = n
+	for _, part := range strings.Split(spec, ",") {
+		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
+		n, err := strconv.Atoi(val)
+		if !ok || err != nil {
+			return nil, fmt.Errorf("bad -replicas element %q, want service=count", part)
 		}
-	}
-	var out []string
-	for _, svc := range bootOrder {
-		for i := 0; i < counts[svc]; i++ {
-			out = append(out, svc)
-		}
+		out[name] = n
 	}
 	return out, nil
 }

@@ -157,10 +157,6 @@ type Server struct {
 	inflight    atomic.Int64
 	sheds       atomic.Int64
 
-	// slot labels the replica's placement (CPU budget + affinity cell)
-	// for metrics and the registry; empty when placement is off.
-	slot atomic.Pointer[string]
-
 	// Fault injection.
 	chaos         atomic.Pointer[ChaosConfig]
 	chaosInjected atomic.Int64
@@ -309,25 +305,6 @@ func (s *Server) SetMaxInflight(n int) { s.maxInflight.Store(int64(n)) }
 
 // MaxInflight returns the current admission bound (<= 0 = unlimited).
 func (s *Server) MaxInflight() int { return int(s.maxInflight.Load()) }
-
-// SetSlot labels the replica with its placement slot ("ccx:1/4-7,12-15").
-// The label rides on /metrics, /metrics.json, and registry registrations;
-// empty clears it. Safe to adjust while serving.
-func (s *Server) SetSlot(label string) {
-	if label == "" {
-		s.slot.Store(nil)
-		return
-	}
-	s.slot.Store(&label)
-}
-
-// Slot returns the replica's placement label ("" when unplaced).
-func (s *Server) Slot() string {
-	if p := s.slot.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
 
 // Sheds counts requests refused by admission control since start.
 func (s *Server) Sheds() int64 { return s.sheds.Load() }

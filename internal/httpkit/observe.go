@@ -183,10 +183,7 @@ func (s *Server) extraGaugeValues() []Gauge {
 // scrapers (the autoscale reconciler) can compute windowed percentiles
 // from scrape-to-scrape bucket deltas instead of lifetime aggregates.
 type MetricsSnapshot struct {
-	Service string `json:"service"`
-	// Slot is the replica's placement label (level:cell/cpuset) when the
-	// stack runs with topology-aware placement; empty otherwise.
-	Slot           string                      `json:"slot,omitempty"`
+	Service        string                      `json:"service"`
 	Requests       int64                       `json:"requests"`
 	Overall        metrics.Snapshot            `json:"overall"`
 	OverallBuckets []metrics.Bucket            `json:"overallBuckets,omitempty"`
@@ -293,7 +290,6 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 	frozen := s.stats.frozen()
 	out := MetricsSnapshot{
 		Service:    s.name,
-		Slot:       s.Slot(),
 		Requests:   s.reqs.Load(),
 		Routes:     make(map[string]metrics.Snapshot, len(frozen)),
 		Resilience: s.resilienceSnapshot(),
@@ -418,12 +414,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 					s.name, dest, addr, v)
 			}
 		}
-	}
-
-	if slot := s.Slot(); slot != "" {
-		fmt.Fprintf(w, "# HELP teastore_replica_slot Placement slot (level:cell/cpuset) this replica is bound to.\n")
-		fmt.Fprintf(w, "# TYPE teastore_replica_slot gauge\n")
-		fmt.Fprintf(w, "teastore_replica_slot{service=%q,slot=%q} 1\n", s.name, slot)
 	}
 
 	writeExtraGauges(w, s.extraGaugeValues())

@@ -97,46 +97,8 @@ func TestExtraMetricsGauges(t *testing.T) {
 	}
 }
 
-// TestSlotLabel: a slot set via SetSlot rides on /metrics (as the
-// teastore_replica_slot gauge) and /metrics.json, and clears cleanly.
-func TestSlotLabel(t *testing.T) {
-	s := startTestServer(t, http.NewServeMux())
-	if got := s.Slot(); got != "" {
-		t.Fatalf("fresh server slot = %q, want empty", got)
-	}
-	s.SetSlot("ccx:1/4-7,12-15")
-
-	if got := s.MetricsSnapshot().Slot; got != "ccx:1/4-7,12-15" {
-		t.Fatalf("MetricsSnapshot slot = %q", got)
-	}
-	resp, err := http.Get(s.URL() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	want := `teastore_replica_slot{service="test",slot="ccx:1/4-7,12-15"} 1`
-	if !strings.Contains(string(body), want) {
-		t.Fatalf("/metrics lacks %q:\n%s", want, body)
-	}
-
-	s.SetSlot("")
-	if got := s.Slot(); got != "" {
-		t.Fatalf("slot survives clearing: %q", got)
-	}
-	resp, err = http.Get(s.URL() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if strings.Contains(string(body), "teastore_replica_slot") {
-		t.Fatalf("/metrics still exposes a cleared slot:\n%s", body)
-	}
-}
-
 // TestMaxInflightGetter: the admission bound round-trips through the
-// runtime setter, which placement uses to rebalance caps on live replicas.
+// runtime setter.
 func TestMaxInflightGetter(t *testing.T) {
 	s := startTestServer(t, http.NewServeMux())
 	if got := s.MaxInflight(); got != 0 {

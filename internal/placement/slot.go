@@ -1,21 +1,22 @@
 package placement
 
-// This file is the real-stack half of the package: where placement.go
-// builds whole simulated deployments (sim.Deployment) for the paper's
-// configuration sweep, Slot and Policy bind *live* replicas of the real
-// TeaStore stack to topology cells one at a time, the way the scalectl
-// reconciler scales — incrementally, replica by replica.
+// This file is the slot model: where placement.go builds whole simulated
+// deployments (sim.Deployment) for the paper's configuration sweep, Slot
+// and Policy place replicas one at a time, in the order the real stack
+// boots them, onto cells of a topology.Machine model.
 //
-// A Slot is a CPU budget plus an affinity cell drawn from a
-// topology.Machine model of the host. The stack cannot truly pin
-// goroutines to cores, so a slot takes real effect through capacity: each
-// replica's admission bound (ServiceMaxInflight-style inflight cap) is
-// derived from the slot's *effective* core count — the budget discounted
-// for cores shared with co-resident slots and for spans across L3 (CCX)
-// boundaries. Packed placement loses capacity to straddling and
-// overlap; CCX-aware placement keeps every replica inside one L3 domain
-// and loses nothing. That capacity gap is the paper's headline effect,
-// expressed through the -caps model the characterizer already uses.
+// A Slot is a CPU budget plus an affinity cell. Its capacity is its
+// *effective* core count — the budget discounted for cores shared with
+// co-resident slots and for spans across L3 (CCX) boundaries — and
+// SlotCap turns that into an admission cap. Packed placement loses
+// capacity to straddling and overlap; CCX-aware placement keeps every
+// replica inside one L3 domain and loses nothing.
+//
+// The real stack cannot pin goroutines to cores, so on it a placement
+// could only ever take effect as admission caps. Predict therefore is
+// the whole real-stack placement result: Σ caps per service under each
+// policy, whose ratio is the throughput ratio a cap-bound stack reaches.
+// The topology claims themselves rest on the simulator (placement.go).
 
 import (
 	"fmt"
@@ -288,4 +289,75 @@ func coresOfSet(mach *topology.Machine, set topology.CPUSet) []int {
 	})
 	sort.Ints(out)
 	return out
+}
+
+// SlotCores is each predicted replica's CPU budget in physical cores,
+// and CapPerCore the admission cap granted per effective slot core.
+const (
+	SlotCores  = 3
+	CapPerCore = 4
+)
+
+// BootOrder lists the stack's replicable services in the order it boots
+// them; each service's extra replicas follow its first, consecutively.
+var BootOrder = []string{"persistence", "auth", "recommender", "image", "webui"}
+
+// Prediction is one policy's placement of the stack's replicas.
+type Prediction struct {
+	Policy string
+	// Slots are the replicas' slots in boot order; Caps[i] is Slots[i]'s
+	// admission cap against every slot on the machine.
+	Slots []Slot
+	Caps  []int
+	// Sum is Σ caps per service, and VsPacked each Sum over packed's: the
+	// throughput ratio of a stack whose capacity is its admission caps.
+	Sum      map[string]int
+	VsPacked map[string]float64
+}
+
+// Predict places the stack's replicas (one per BootOrder service unless
+// replicas says otherwise) under every policy in PolicyNames order, at
+// SlotCores and CapPerCore, with the default demand shares.
+func Predict(mach *topology.Machine, replicas map[string]int) ([]Prediction, error) {
+	counts := map[string]int{}
+	for _, svc := range BootOrder {
+		counts[svc] = 1
+	}
+	for svc, n := range replicas {
+		if counts[svc] == 0 || n < 1 {
+			return nil, fmt.Errorf("placement: bad replica count %s=%d (services: %s)",
+				svc, n, strings.Join(BootOrder, ", "))
+		}
+		counts[svc] = n
+	}
+	var preds []Prediction
+	for _, name := range PolicyNames() {
+		pol, err := NewPolicy(name, mach, nil, SlotCores)
+		if err != nil {
+			return nil, err
+		}
+		p := Prediction{Policy: name, Sum: map[string]int{}, VsPacked: map[string]float64{}}
+		for _, svc := range BootOrder {
+			for i := 0; i < counts[svc]; i++ {
+				slot, err := pol.Assign(svc, p.Slots)
+				if err != nil {
+					return nil, err
+				}
+				p.Slots = append(p.Slots, slot)
+			}
+		}
+		for _, slot := range p.Slots {
+			c := SlotCap(slot, p.Slots, mach, CapPerCore)
+			p.Caps = append(p.Caps, c)
+			p.Sum[slot.Service] += c
+		}
+		preds = append(preds, p)
+	}
+	// PolicyNames puts packed first; SlotCap floors at 1, so no Sum is 0.
+	for _, p := range preds {
+		for svc, sum := range p.Sum {
+			p.VsPacked[svc] = float64(sum) / float64(preds[0].Sum[svc])
+		}
+	}
+	return preds, nil
 }

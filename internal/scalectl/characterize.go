@@ -135,16 +135,8 @@ type Report struct {
 	MixCounts map[string]int64 `json:"mixCounts,omitempty"`
 	// KneeGainFrac records the marginal-gain threshold the knees were
 	// computed with, so re-derivations use the same definition.
-	KneeGainFrac float64 `json:"kneeGainFrac,omitempty"`
-	// Machine describes the topology model and measuring host when the
-	// report was produced by a placement-aware run. Absent in reports
-	// written before topology-aware placement existed.
-	Machine *MachineInfo `json:"machine,omitempty"`
-	// Placement is the packed-vs-topology-aware comparison (the paper's
-	// +22 % / −18 % headline experiment). Absent when the placement sweep
-	// was not run.
-	Placement *PlacementBlock `json:"placement,omitempty"`
-	Notes     []string        `json:"notes,omitempty"`
+	KneeGainFrac float64  `json:"kneeGainFrac,omitempty"`
+	Notes        []string `json:"notes,omitempty"`
 }
 
 // WriteFile marshals the report as indented JSON.

@@ -150,9 +150,7 @@ func (c *Controller) replaceReplica(ctx context.Context, st *serviceState, name,
 		c.record(st, ActionHold, fmt.Sprintf("replace wanted for %s (%s) but target cannot drain by URL", url, reason), now, clamp(st.actual, b))
 		return
 	}
-	// With placement active the replacement inherits the sick replica's
-	// slot; SlotOf must run before the drain unbinds it.
-	if err := c.startReplacement(name, url); err != nil {
+	if err := c.target.StartReplica(name); err != nil {
 		c.record(st, ActionHold, fmt.Sprintf("replace wanted for %s (%s) but start failed: %v", url, reason, err), now, clamp(st.actual, b))
 		return
 	}

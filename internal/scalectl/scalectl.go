@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/httpkit"
 	"repro/internal/metrics"
-	"repro/internal/placement"
 )
 
 // Target is the surface the reconciler scales: a running stack that can
@@ -114,14 +113,6 @@ type Config struct {
 	// Client performs the scrapes; nil builds one with breakers and
 	// retries off (a failed scrape should be observed, not masked).
 	Client *httpkit.Client
-
-	// Placement, when set, makes scale-ups and replacements
-	// topology-aware: new replicas go to the slot the policy picks
-	// (least-contended cell), replacements inherit the dead replica's
-	// slot. Requires the Target to implement SlotTarget; ignored
-	// otherwise. Placement never changes *whether* the reconciler
-	// scales — only where the replica lands.
-	Placement placement.Policy
 }
 
 // withDefaults resolves zero fields.
@@ -198,9 +189,6 @@ type ServiceStatus struct {
 	DownEvents   int64    `json:"downEvents"`
 	Replacements int64    `json:"replacements,omitempty"`
 	Unhealthy    []string `json:"unhealthy,omitempty"`
-	// Slots lists the live replicas' placement labels when the
-	// controller runs with a placement policy; absent otherwise.
-	Slots        []string `json:"slots,omitempty"`
 	LastDecision Decision `json:"lastDecision"`
 }
 
@@ -490,10 +478,9 @@ func (c *Controller) score(st *serviceState, name string, snaps []instanceSnap, 
 	return score, true, signals, windows
 }
 
-// scaleUp asks the target for one more replica (placement-aware when
-// configured) and records the outcome.
+// scaleUp asks the target for one more replica and records the outcome.
 func (c *Controller) scaleUp(st *serviceState, name, reason string, now time.Time, b Bounds) {
-	if err := c.startReplica(name); err != nil {
+	if err := c.target.StartReplica(name); err != nil {
 		c.record(st, ActionHold, fmt.Sprintf("scale-up wanted (%s) but failed: %v", reason, err), now, clamp(st.actual, b))
 		return
 	}
@@ -533,7 +520,6 @@ func (c *Controller) record(st *serviceState, action, reason string, now time.Ti
 
 // Status snapshots the controller's per-service state, sorted by name.
 func (c *Controller) Status() Status {
-	slots := c.slotLabels() // queries the target; must not hold c.mu
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := Status{Ticks: c.ticks}
@@ -544,7 +530,6 @@ func (c *Controller) Status() Status {
 			Desired: st.desired, Actual: st.actual, Score: st.score,
 			UpEvents: st.upEvents, DownEvents: st.downEvents,
 			Replacements: st.replacements, Unhealthy: unhealthyList(st),
-			Slots:        slots[name],
 			LastDecision: st.last,
 		})
 	}

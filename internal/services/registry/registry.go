@@ -25,10 +25,6 @@ type Registration struct {
 	Service string `json:"service"`
 	Address string `json:"address"`         // host:port
 	Shard   *int   `json:"shard,omitempty"` // keyspace partition, nil = unsharded
-	// Slot is the replica's placement label (level:cell/cpuset) when the
-	// stack runs topology-aware placement; empty otherwise. Stored and
-	// served verbatim, like Shard.
-	Slot string `json:"slot,omitempty"`
 }
 
 // ShardID returns the registration's shard, or -1 when unsharded.
@@ -43,8 +39,7 @@ func (r Registration) ShardID() int {
 // GET /instances/{name}.
 type Instance struct {
 	Address string `json:"address"`
-	Shard   int    `json:"shard"`          // -1 = unsharded
-	Slot    string `json:"slot,omitempty"` // placement label, "" = unplaced
+	Shard   int    `json:"shard"` // -1 = unsharded
 }
 
 // entry tracks liveness.
@@ -133,7 +128,7 @@ func (r *Registry) LookupInstances(service string) []Instance {
 	var out []Instance
 	for addr, e := range r.entries[service] {
 		if e.lastSeen.After(cutoff) {
-			out = append(out, Instance{Address: addr, Shard: e.reg.ShardID(), Slot: e.reg.Slot})
+			out = append(out, Instance{Address: addr, Shard: e.reg.ShardID()})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Address < out[j].Address })

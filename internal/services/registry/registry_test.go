@@ -135,27 +135,27 @@ func TestHTTPValidation(t *testing.T) {
 	}
 }
 
-// TestSlotLabelRoundTrip: a registration's placement slot is stored
-// verbatim, served by LookupInstances, and survives heartbeats (which
-// only refresh liveness, never rewrite the registration).
-func TestSlotLabelRoundTrip(t *testing.T) {
+// TestShardLabelRoundTrip: a registration's shard is stored verbatim,
+// served by LookupInstances (-1 when unsharded), and survives the stack's
+// heartbeats, which carry no shard and only refresh liveness.
+func TestShardLabelRoundTrip(t *testing.T) {
 	r := New(0)
-	r.Register(Registration{Service: "webui", Address: "w:1", Slot: "ccx:0/0-3,8-11"})
-	r.Register(Registration{Service: "webui", Address: "w:2"})
+	shard := 1
+	r.Register(Registration{Service: "persistence", Address: "p:1", Shard: &shard})
+	r.Register(Registration{Service: "persistence", Address: "p:2"})
 
-	got := r.LookupInstances("webui")
+	got := r.LookupInstances("persistence")
 	if len(got) != 2 {
 		t.Fatalf("LookupInstances = %v", got)
 	}
-	if got[0].Slot != "ccx:0/0-3,8-11" || got[1].Slot != "" {
-		t.Fatalf("slots = [%q %q]", got[0].Slot, got[1].Slot)
+	if got[0].Shard != 1 || got[1].Shard != -1 {
+		t.Fatalf("shards = [%d %d], want [1 -1]", got[0].Shard, got[1].Shard)
 	}
 
-	// A bare heartbeat (no slot field) must not erase the stored label.
-	if !r.Heartbeat(Registration{Service: "webui", Address: "w:1"}) {
+	if !r.Heartbeat(Registration{Service: "persistence", Address: "p:1"}) {
 		t.Fatal("heartbeat failed")
 	}
-	if got := r.LookupInstances("webui")[0].Slot; got != "ccx:0/0-3,8-11" {
-		t.Fatalf("slot after heartbeat = %q", got)
+	if got := r.LookupInstances("persistence")[0].Shard; got != 1 {
+		t.Fatalf("shard after heartbeat = %d", got)
 	}
 }

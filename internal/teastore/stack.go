@@ -10,12 +10,10 @@ import (
 	"log"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/db"
 	"repro/internal/httpkit"
-	"repro/internal/placement"
 	"repro/internal/scalectl"
 	"repro/internal/services/auth"
 	imagesvc "repro/internal/services/image"
@@ -138,13 +136,6 @@ type Config struct {
 	// writers. The zero value selects db defaults (no simulated flush
 	// cost).
 	Commit db.CommitConfig
-	// Placement, when non-nil, binds every replica of a replicable
-	// service to a placement.Slot chosen by the configured policy: the
-	// replica's admission cap is derived from the slot's effective core
-	// share and its slot label is published through the registry. When
-	// Autoscale is also set, the reconciler places scale-ups through the
-	// same policy and replacements inherit the dead replica's slot.
-	Placement *PlacementConfig
 }
 
 // replicableServices are the service names Config.Replicas may scale.
@@ -220,18 +211,6 @@ type Stack struct {
 	cluster     *persistence.Cluster
 	shardByAddr map[string]int
 
-	// Topology-aware placement state (nil/empty when Config.Placement is
-	// unset): the resolved policy, each live replica's slot keyed by
-	// listener address, and the slot a StartReplicaInSlot call has staged
-	// for the replica its boot recipe is about to listen. pendMu
-	// serializes slot-directed starts so the staged slot can't be claimed
-	// by a concurrent boot.
-	placementPol placement.Policy
-	capPerCore   int
-	slotByAddr   map[string]placement.Slot
-	pendMu       sync.Mutex
-	pendingSlot  atomic.Pointer[placement.Slot]
-
 	// Store is shard 0's store — the whole order plane when unsharded.
 	// Sharded consumers should use PersistenceCluster.
 	Store *db.Store
@@ -281,16 +260,7 @@ func Start(cfg Config) (*Stack, error) {
 		Store:       stores[0],
 		cluster:     persistence.NewCluster(stores),
 		shardByAddr: map[string]int{},
-		slotByAddr:  map[string]placement.Slot{},
 		cfg:         cfg,
-	}
-	if cfg.Placement != nil {
-		pol, err := cfg.Placement.policy()
-		if err != nil {
-			return nil, fmt.Errorf("teastore: %w", err)
-		}
-		st.placementPol = pol
-		st.capPerCore = cfg.Placement.CapPerCore
 	}
 	fail := func(err error) (*Stack, error) {
 		st.Shutdown(context.Background())
@@ -471,14 +441,7 @@ func Start(cfg Config) (*Stack, error) {
 	// Autoscale control plane last: it scrapes the services booted above
 	// and must not begin scaling until the stack is complete.
 	if cfg.Autoscale != nil {
-		asCfg := *cfg.Autoscale
-		if st.placementPol != nil && asCfg.Placement == nil {
-			// Placement-aware stacks hand the reconciler their policy so
-			// scale-ups land in the least-contended cell and replacements
-			// inherit the dead replica's slot.
-			asCfg.Placement = st.placementPol
-		}
-		ctl, err := scalectl.New(st, asCfg)
+		ctl, err := scalectl.New(st, *cfg.Autoscale)
 		if err != nil {
 			return fail(err)
 		}
@@ -505,10 +468,6 @@ func (s *Stack) listen(name string, mux *http.ServeMux) (*httpkit.Server, error)
 // listenShard is listen with a shard label on the registration — how a
 // persistence replica publishes which keyspace partition it fronts.
 func (s *Stack) listenShard(name string, mux *http.ServeMux, shard *int) (*httpkit.Server, error) {
-	slot, placed, err := s.slotFor(name)
-	if err != nil {
-		return nil, err
-	}
 	srv, err := httpkit.NewServer(name, s.cfg.Host+":0", mux)
 	if err != nil {
 		return nil, err
@@ -524,12 +483,7 @@ func (s *Stack) listenShard(name string, mux *http.ServeMux, shard *int) (*httpk
 		s.shardByAddr[srv.Addr()] = *shard
 		s.mu.Unlock()
 	}
-	if placed {
-		// Bind before registering so the registration carries the slot
-		// label from its first appearance in the routing plane.
-		s.bindSlot(srv, slot)
-	}
-	s.reg.Register(s.registrationFor(srv, shard))
+	s.reg.Register(registry.Registration{Service: name, Address: srv.Addr(), Shard: shard})
 	return srv, nil
 }
 
@@ -593,11 +547,8 @@ func (s *Stack) track(srv *httpkit.Server) {
 }
 
 // untrack removes a stopped server from the live set so stats,
-// heartbeats, and the reconciler stop seeing it. Its slot binding is
-// released first so surviving cell-mates' caps rebalance to the freed
-// capacity.
+// heartbeats, and the reconciler stop seeing it.
 func (s *Stack) untrack(srv *httpkit.Server) {
-	s.unbindSlot(srv)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	kept := s.servers[:0]
