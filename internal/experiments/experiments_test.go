@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -35,6 +39,27 @@ func quickTable(t *testing.T, id string) metrics.Table {
 	}
 	t.Fatalf("no %s table", id)
 	return metrics.Table{}
+}
+
+// quickRunSHA256 is the SHA-256 of `simstudy -quick`'s output: every
+// quick table and the E7 headline, as Results.write renders them.
+const quickRunSHA256 = "9b33ab4cb1b6c30ff68976aaaea3f1ad4dc7dd9ba640bc08d5eaa65307c7e200"
+
+// TestQuickRunGolden pins the simulator's quick output byte for byte, so a
+// change meant to leave the simulator's behaviour alone can show that it did.
+func TestQuickRunGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("hash pinned on amd64; the compiler may fuse multiply-adds (FMA) on %s, which moves the last bits of floats", runtime.GOARCH)
+	}
+	r, err := quickRun()
+	var buf bytes.Buffer
+	if werr := r.write(&buf, err); werr != nil {
+		t.Fatal(werr)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != quickRunSHA256 {
+		t.Fatalf("quick run output hash = %s, want %s; output:\n%s", got, quickRunSHA256, buf.String())
+	}
 }
 
 func TestE1Inventory(t *testing.T) {
