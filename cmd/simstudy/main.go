@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/experiments"
+	"repro/internal/metrics"
 )
 
 func main() {
@@ -26,21 +27,19 @@ func main() {
 	flag.Parse()
 
 	opt := experiments.Options{Quick: *quick, Seed: *seed}
-	if *only == "" {
-		if *csvDir != "" {
-			if err := runWithCSV(*csvDir, opt); err != nil {
-				fmt.Fprintln(os.Stderr, "simstudy:", err)
-				os.Exit(1)
-			}
-			return
+	var err error
+	switch {
+	case *only != "":
+		var tab metrics.Table
+		if tab, err = experiments.RunOne(opt, *only); err == nil {
+			fmt.Println(tab.String())
 		}
-		if _, err := experiments.RunAll(os.Stdout, opt); err != nil {
-			fmt.Fprintln(os.Stderr, "simstudy:", err)
-			os.Exit(1)
-		}
-		return
+	case *csvDir != "":
+		err = runWithCSV(*csvDir, opt)
+	default:
+		_, err = experiments.RunAll(os.Stdout, opt)
 	}
-	if err := runOne(*only, opt); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "simstudy:", err)
 		os.Exit(1)
 	}
@@ -52,8 +51,8 @@ func runWithCSV(dir string, opt experiments.Options) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tables, outcome, err := experiments.Collect(opt)
-	for _, nt := range tables {
+	r, err := experiments.Run(opt)
+	for _, nt := range r.Tables {
 		fmt.Println(nt.Table.String())
 		path := filepath.Join(dir, nt.ID+".csv")
 		if werr := os.WriteFile(path, []byte(nt.Table.CSV()), 0o644); werr != nil {
@@ -64,75 +63,6 @@ func runWithCSV(dir string, opt experiments.Options) error {
 		return err
 	}
 	fmt.Printf("Headline (E7): throughput %+.1f %%, p99 %+.1f %% — CSVs in %s\n",
-		outcome.ThroughputGain*100, -outcome.P99Reduction*100, dir)
-	return nil
-}
-
-func runOne(name string, opt experiments.Options) error {
-	switch name {
-	case "E1":
-		fmt.Println(experiments.E1ServiceInventory(opt).String())
-	case "E2":
-		tab, _, err := experiments.E2ScaleUpCurve(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(tab.String())
-	case "E3":
-		tab, _, err := experiments.E3ServiceUtilization(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(tab.String())
-	case "E4":
-		tab, _, err := experiments.E4PerServiceScaling(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(tab.String())
-	case "E5":
-		tab, _, err := experiments.E5Replication(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(tab.String())
-	case "E6":
-		tab, _, err := experiments.E6SMT(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(tab.String())
-	case "E7":
-		tab, _, err := experiments.E7PinningPolicies(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(tab.String())
-	case "E8":
-		tab, _, err := experiments.E8LatencyDistribution(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(tab.String())
-	case "E9":
-		tab, _ := experiments.E9Microarch(opt)
-		fmt.Println(tab.String())
-	case "E10":
-		fmt.Println(experiments.E10Topology().String())
-	case "E11":
-		tab, _, err := experiments.E11LoadLatency(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(tab.String())
-	case "E12":
-		tab, _, err := experiments.E12NPSSensitivity(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(tab.String())
-	default:
-		return fmt.Errorf("unknown experiment %q (want E1..E12)", name)
-	}
+		r.Headline.ThroughputGain*100, -r.Headline.P99Reduction*100, dir)
 	return nil
 }

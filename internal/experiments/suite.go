@@ -32,30 +32,38 @@ type Results struct {
 	NPS         []NPSResult                    // E12
 }
 
+// step is one experiment of the suite: run computes its table and keeps
+// its series in the Results the step list was built over.
+type step struct {
+	id  string
+	run func() (metrics.Table, error)
+}
+
+// steps lists the suite in run order, each step writing its series into r.
+func steps(opt Options, r *Results) []step {
+	return []step{
+		{"E1", func() (metrics.Table, error) { return E1ServiceInventory(opt), nil }},
+		{"E10", func() (metrics.Table, error) { return E10Topology(), nil }},
+		{"E2", func() (t metrics.Table, err error) { t, r.Scale, err = E2ScaleUpCurve(opt); return }},
+		{"E3", func() (t metrics.Table, err error) { t, r.Util, err = E3ServiceUtilization(opt); return }},
+		{"E4", func() (t metrics.Table, err error) { t, r.Classes, err = E4PerServiceScaling(opt); return }},
+		{"E5", func() (t metrics.Table, err error) { t, r.Replication, err = E5Replication(opt); return }},
+		{"E6", func() (t metrics.Table, err error) { t, r.SMT, err = E6SMT(opt); return }},
+		{"E7", func() (t metrics.Table, err error) { t, r.Headline, err = E7PinningPolicies(opt); return }},
+		{"E8", func() (t metrics.Table, err error) { t, r.Latency, err = E8LatencyDistribution(opt); return }},
+		{"E9", func() (t metrics.Table, err error) { t, r.Microarch = E9Microarch(opt); return }},
+		{"E11", func() (t metrics.Table, err error) { t, r.Load, err = E11LoadLatency(opt); return }},
+		{"E12", func() (t metrics.Table, err error) { t, r.NPS, err = E12NPSSensitivity(opt); return }},
+	}
+}
+
 // Run runs every experiment in order. On an error it returns the results
 // of the experiments that ran before it.
 func Run(opt Options) (Results, error) {
 	var r Results
-	var t metrics.Table
-	steps := []struct {
-		id  string
-		run func() error
-	}{
-		{"E1", func() error { t = E1ServiceInventory(opt); return nil }},
-		{"E10", func() error { t = E10Topology(); return nil }},
-		{"E2", func() (err error) { t, r.Scale, err = E2ScaleUpCurve(opt); return err }},
-		{"E3", func() (err error) { t, r.Util, err = E3ServiceUtilization(opt); return err }},
-		{"E4", func() (err error) { t, r.Classes, err = E4PerServiceScaling(opt); return err }},
-		{"E5", func() (err error) { t, r.Replication, err = E5Replication(opt); return err }},
-		{"E6", func() (err error) { t, r.SMT, err = E6SMT(opt); return err }},
-		{"E7", func() (err error) { t, r.Headline, err = E7PinningPolicies(opt); return err }},
-		{"E8", func() (err error) { t, r.Latency, err = E8LatencyDistribution(opt); return err }},
-		{"E9", func() error { t, r.Microarch = E9Microarch(opt); return nil }},
-		{"E11", func() (err error) { t, r.Load, err = E11LoadLatency(opt); return err }},
-		{"E12", func() (err error) { t, r.NPS, err = E12NPSSensitivity(opt); return err }},
-	}
-	for _, st := range steps {
-		if err := st.run(); err != nil {
+	for _, st := range steps(opt, &r) {
+		t, err := st.run()
+		if err != nil {
 			return r, fmt.Errorf("%s: %w", st.id, err)
 		}
 		r.Tables = append(r.Tables, NamedTable{ID: st.id, Table: t})
@@ -63,11 +71,15 @@ func Run(opt Options) (Results, error) {
 	return r, nil
 }
 
-// Collect runs every experiment in order and returns the tables plus the
-// E7 headline outcome.
-func Collect(opt Options) ([]NamedTable, E7Outcome, error) {
-	r, err := Run(opt)
-	return r.Tables, r.Headline, err
+// RunOne runs the one experiment named id and returns its table.
+func RunOne(opt Options, id string) (metrics.Table, error) {
+	var r Results
+	for _, st := range steps(opt, &r) {
+		if st.id == id {
+			return st.run()
+		}
+	}
+	return metrics.Table{}, fmt.Errorf("unknown experiment %q (want E1..E12)", id)
 }
 
 // RunAll executes every experiment in order, streaming rendered tables to
