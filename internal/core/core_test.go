@@ -49,8 +49,8 @@ func TestFitUSLClampsNegatives(t *testing.T) {
 	if fit.Sigma < 0 || fit.Kappa < 0 {
 		t.Fatalf("negative coefficients: %+v", fit)
 	}
-	if math.IsInf(fit.PeakCores(), 1) == false && fit.Kappa > 0 {
-		t.Fatal("linear fit should not peak")
+	if fit.Kappa > 0 {
+		t.Fatal("linear fit should not peak (κ > 0)")
 	}
 }
 
@@ -71,22 +71,13 @@ func TestFitUSLValidation(t *testing.T) {
 
 func TestUSLDerivedQuantities(t *testing.T) {
 	f := USLFit{Lambda: 100, Sigma: 0.1, Kappa: 0.001}
-	if got, want := f.PeakCores(), math.Sqrt(0.9/0.001); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("PeakCores = %v, want %v", got, want)
-	}
 	if got := f.AsymptoteOps(); math.Abs(got-1000) > 1e-9 {
 		t.Fatalf("Asymptote = %v, want 1000", got)
-	}
-	if f.Efficiency(1) != 1 {
-		t.Fatal("Efficiency(1) must be 1")
-	}
-	if f.Efficiency(16) >= 1 {
-		t.Fatal("Efficiency must drop below 1 under contention")
 	}
 	if (USLFit{Lambda: 100}).AsymptoteOps() != math.Inf(1) {
 		t.Fatal("σ=0 asymptote must be +Inf")
 	}
-	if f.Throughput(0) != 0 || f.Efficiency(0) != 0 {
+	if f.Throughput(0) != 0 {
 		t.Fatal("zero cores edge cases wrong")
 	}
 	if f.String() == "" {

@@ -51,15 +51,6 @@ func (f USLFit) Throughput(n float64) float64 {
 	return f.Lambda * n / (1 + f.Sigma*(n-1) + f.Kappa*n*(n-1))
 }
 
-// PeakCores returns the core count at which the fitted curve peaks
-// (+Inf when it never peaks, i.e. Kappa == 0).
-func (f USLFit) PeakCores() float64 {
-	if f.Kappa <= 0 {
-		return math.Inf(1)
-	}
-	return math.Sqrt((1 - f.Sigma) / f.Kappa)
-}
-
 // AsymptoteOps returns the throughput ceiling 1/(σ·perOpTime) implied by
 // contention: lim X(n) = Lambda/Sigma for Kappa = 0. Infinite when σ = 0.
 func (f USLFit) AsymptoteOps() float64 {
@@ -67,15 +58,6 @@ func (f USLFit) AsymptoteOps() float64 {
 		return math.Inf(1)
 	}
 	return f.Lambda / f.Sigma
-}
-
-// Efficiency returns X(n)/(n·X(1)): the fraction of linear scaling
-// retained at n cores.
-func (f USLFit) Efficiency(n float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return f.Throughput(n) / (n * f.Throughput(1))
 }
 
 func (f USLFit) String() string {

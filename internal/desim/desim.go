@@ -37,9 +37,6 @@ const (
 // FromStd converts a time.Duration to a simulation Duration.
 func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) }
 
-// Std converts a simulation Duration to a time.Duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 // Seconds reports the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
@@ -72,21 +69,17 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 func (t Time) String() string { return time.Duration(t).String() }
 
 // An event is a callback bound to an instant. seq breaks ties so that
-// same-instant events fire in FIFO order.
+// same-instant events fire in FIFO order. idx is the event's heap index,
+// -1 once it has fired or been cancelled.
 type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	dead bool
-	idx  int
+	at  Time
+	seq uint64
+	fn  func()
+	idx int
 }
 
 // EventID identifies a scheduled event so it can be cancelled.
 type EventID struct{ ev *event }
-
-// Cancelled reports whether the event was cancelled (or already fired and
-// then cancelled, which is a no-op).
-func (id EventID) Cancelled() bool { return id.ev == nil || id.ev.dead }
 
 type eventHeap []*event
 
@@ -124,8 +117,6 @@ type Engine struct {
 	seq     uint64
 	events  eventHeap
 	running bool
-	stopped bool
-	fired   uint64
 }
 
 // New returns an Engine starting at time zero.
@@ -133,12 +124,6 @@ func New() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Fired reports how many events have executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending reports how many events are scheduled but not yet fired.
-func (e *Engine) Pending() int { return len(e.events) }
 
 // ErrPastEvent is returned (via panic recovery in tests) when an event is
 // scheduled before the current time.
@@ -169,82 +154,34 @@ func (e *Engine) After(d Duration, fn func()) EventID {
 // actually removed.
 func (e *Engine) Cancel(id EventID) bool {
 	ev := id.ev
-	if ev == nil || ev.dead || ev.idx < 0 {
+	if ev == nil || ev.idx < 0 {
 		return false
 	}
-	ev.dead = true
 	heap.Remove(&e.events, ev.idx)
 	return true
 }
 
-// Stop makes Run return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Step fires the single earliest pending event, advancing the clock to it.
-// It reports whether an event fired.
-func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.dead {
-			continue
-		}
-		e.now = ev.at
-		e.fired++
-		ev.fn()
-		return true
-	}
-	return false
-}
-
-// Run fires events until no events remain, Stop is called, or the next
-// event would fire after the until instant. The clock is left at the last
-// fired event's time (or advanced to until when RunUntil semantics require
-// it — see RunUntil).
-func (e *Engine) Run() {
-	e.runCore(Time(math.MaxInt64), false)
-}
-
 // RunUntil fires all events scheduled at or before t, then advances the
 // clock to exactly t. Events at t fire; events after t remain pending.
+// Calling it from inside an event panics.
 func (e *Engine) RunUntil(t Time) {
-	e.runCore(t, true)
-	if !e.stopped && e.now < t {
+	if e.running {
+		panic("desim: RunUntil called re-entrantly from inside an event")
+	}
+	e.running = true
+	defer func() { e.running = false }()
+	for len(e.events) > 0 && e.events[0].at <= t {
+		ev := heap.Pop(&e.events).(*event)
+		e.now = ev.at
+		ev.fn()
+	}
+	if e.now < t {
 		e.now = t
 	}
 }
 
-// RunFor is RunUntil(Now()+d).
-func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
-
-func (e *Engine) runCore(until Time, bounded bool) {
-	if e.running {
-		panic("desim: Run called re-entrantly from inside an event")
-	}
-	e.running = true
-	e.stopped = false
-	defer func() { e.running = false }()
-	for !e.stopped {
-		// Peek without popping so a too-late head event stays queued.
-		var head *event
-		for len(e.events) > 0 && e.events[0].dead {
-			heap.Pop(&e.events)
-		}
-		if len(e.events) == 0 {
-			return
-		}
-		head = e.events[0]
-		if bounded && head.at > until {
-			return
-		}
-		heap.Pop(&e.events)
-		e.now = head.at
-		e.fired++
-		head.fn()
-	}
-}
-
-// Ticker invokes fn every period until cancel is called or the engine
-// drains. fn runs first after one full period.
+// Ticker invokes fn every period until cancel is called. fn runs first
+// after one full period.
 func (e *Engine) Ticker(period Duration, fn func()) (cancel func()) {
 	if period <= 0 {
 		panic("desim: non-positive ticker period")

@@ -1,19 +1,20 @@
 package desim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
+// drain fires every pending event, leaving the clock at the end of time.
+func drain(e *Engine) { e.RunUntil(Time(math.MaxInt64)) }
+
 func TestEngineStartsAtZero(t *testing.T) {
 	e := New()
 	if e.Now() != 0 {
 		t.Fatalf("Now() = %v, want 0", e.Now())
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d, want 0", e.Pending())
 	}
 }
 
@@ -21,7 +22,7 @@ func TestAfterAdvancesClock(t *testing.T) {
 	e := New()
 	var fired Time = -1
 	e.After(5*Millisecond, func() { fired = e.Now() })
-	e.Run()
+	e.RunUntil(Time(5 * Millisecond))
 	if fired != Time(5*Millisecond) {
 		t.Fatalf("fired at %v, want 5ms", fired)
 	}
@@ -37,7 +38,7 @@ func TestSameInstantFIFO(t *testing.T) {
 		i := i
 		e.At(Time(Millisecond), func() { order = append(order, i) })
 	}
-	e.Run()
+	drain(e)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("order[%d] = %d, want %d (events at same instant must fire FIFO)", i, v, i)
@@ -55,7 +56,7 @@ func TestPastSchedulingPanics(t *testing.T) {
 		}()
 		e.At(0, func() {})
 	})
-	e.Run()
+	drain(e)
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
@@ -78,7 +79,7 @@ func TestCancel(t *testing.T) {
 	if e.Cancel(id) {
 		t.Fatal("second Cancel returned true")
 	}
-	e.Run()
+	drain(e)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -87,7 +88,7 @@ func TestCancel(t *testing.T) {
 func TestCancelFiredEventIsNoop(t *testing.T) {
 	e := New()
 	id := e.After(Millisecond, func() {})
-	e.Run()
+	drain(e)
 	if e.Cancel(id) {
 		t.Fatal("Cancel of already-fired event returned true")
 	}
@@ -112,52 +113,21 @@ func TestRunUntilBoundary(t *testing.T) {
 	}
 }
 
-func TestRunForAccumulates(t *testing.T) {
+func TestRunUntilAccumulates(t *testing.T) {
 	e := New()
 	count := 0
 	cancel := e.Ticker(Millisecond, func() { count++ })
-	e.RunFor(10 * Millisecond)
+	e.RunUntil(e.Now().Add(10 * Millisecond))
 	if count != 10 {
 		t.Fatalf("ticks = %d, want 10", count)
 	}
 	cancel()
-	e.RunFor(10 * Millisecond)
+	e.RunUntil(e.Now().Add(10 * Millisecond))
 	if count != 10 {
 		t.Fatalf("ticks after cancel = %d, want 10", count)
 	}
-}
-
-func TestStop(t *testing.T) {
-	e := New()
-	count := 0
-	e.Ticker(Millisecond, func() {
-		count++
-		if count == 3 {
-			e.Stop()
-		}
-	})
-	e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (Stop should halt Run)", count)
-	}
-}
-
-func TestStep(t *testing.T) {
-	e := New()
-	n := 0
-	e.After(Millisecond, func() { n++ })
-	e.After(2*Millisecond, func() { n++ })
-	if !e.Step() {
-		t.Fatal("Step returned false with pending events")
-	}
-	if n != 1 {
-		t.Fatalf("n = %d after one step, want 1", n)
-	}
-	if !e.Step() || e.Step() {
-		t.Fatal("Step sequence wrong")
-	}
-	if e.Fired() != 2 {
-		t.Fatalf("Fired() = %d, want 2", e.Fired())
+	if e.Now() != Time(20*Millisecond) {
+		t.Fatalf("clock = %v, want 20ms", e.Now())
 	}
 }
 
@@ -166,12 +136,12 @@ func TestReentrantRunPanics(t *testing.T) {
 	e.After(Millisecond, func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("re-entrant Run did not panic")
+				t.Error("re-entrant RunUntil did not panic")
 			}
 		}()
-		e.Run()
+		e.RunUntil(Time(2 * Millisecond))
 	})
-	e.Run()
+	drain(e)
 }
 
 // Property: events always fire in non-decreasing time order, regardless of
@@ -194,7 +164,7 @@ func TestPropertyMonotonicFiring(t *testing.T) {
 				})
 			}
 		}
-		e.Run()
+		drain(e)
 		for i := 1; i < len(fireTimes); i++ {
 			if fireTimes[i] < fireTimes[i-1] {
 				return false
@@ -221,7 +191,7 @@ func TestPropertyDeterminism(t *testing.T) {
 			}
 		}
 		e.After(0, spawn)
-		e.Run()
+		drain(e)
 		return trace
 	}
 	f := func(seed int64) bool {
@@ -244,9 +214,6 @@ func TestPropertyDeterminism(t *testing.T) {
 func TestDurationConversions(t *testing.T) {
 	if FromStd(3*time.Millisecond) != 3*Millisecond {
 		t.Fatal("FromStd mismatch")
-	}
-	if (2 * Second).Std() != 2*time.Second {
-		t.Fatal("Std mismatch")
 	}
 	if got := (1500 * Millisecond).Seconds(); got != 1.5 {
 		t.Fatalf("Seconds() = %v, want 1.5", got)

@@ -52,8 +52,7 @@ func queueTrace(seed int64) []byte {
 		eng.After(arrivals.Exp(Millisecond), arrive)
 	}
 	eng.After(0, arrive)
-	eng.Run()
-	fmt.Fprintf(&buf, "fired=%d end=%d\n", eng.Fired(), int64(eng.Now()))
+	drain(eng)
 	return buf.Bytes()
 }
 

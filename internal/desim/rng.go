@@ -48,31 +48,6 @@ func (r RNG) Uniform(lo, hi Duration) Duration {
 	return lo + Duration(r.Int63n(int64(hi-lo)))
 }
 
-// Pick returns an index in [0, len(weights)) with probability proportional
-// to the weights. All-zero or empty weights return 0.
-func (r RNG) Pick(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
 // RNGPool hands out independent named random streams derived from a single
 // master seed.
 //

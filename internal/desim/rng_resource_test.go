@@ -86,30 +86,3 @@ func TestUniformBounds(t *testing.T) {
 		t.Fatal("degenerate Uniform should return lo")
 	}
 }
-
-func TestPickDistribution(t *testing.T) {
-	r := NewRNGPool(4).Stream("pick")
-	weights := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	const n = 30000
-	for i := 0; i < n; i++ {
-		counts[r.Pick(weights)]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight index picked %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if ratio < 2.7 || ratio > 3.3 {
-		t.Fatalf("weight ratio = %.2f, want ~3", ratio)
-	}
-}
-
-func TestPickDegenerate(t *testing.T) {
-	r := NewRNGPool(5).Stream("pick")
-	if r.Pick(nil) != 0 {
-		t.Fatal("Pick(nil) != 0")
-	}
-	if r.Pick([]float64{0, 0}) != 0 {
-		t.Fatal("Pick(all zero) != 0")
-	}
-}

@@ -22,36 +22,8 @@ func TestTickerCancelFromWithinCallback(t *testing.T) {
 			cancel()
 		}
 	})
-	e.RunFor(10 * Millisecond)
+	e.RunUntil(Time(10 * Millisecond))
 	if count != 2 {
 		t.Fatalf("count = %d, want 2 (self-cancel)", count)
-	}
-}
-
-func TestCancelledEventIDState(t *testing.T) {
-	e := New()
-	id := e.After(Millisecond, func() {})
-	if id.Cancelled() {
-		t.Fatal("pending event reports cancelled")
-	}
-	e.Cancel(id)
-	if !id.Cancelled() {
-		t.Fatal("cancelled event reports live")
-	}
-	if (EventID{}).Cancelled() != true {
-		t.Fatal("zero EventID should read as cancelled")
-	}
-}
-
-func TestPendingCountsLiveEvents(t *testing.T) {
-	e := New()
-	a := e.After(Millisecond, func() {})
-	e.After(2*Millisecond, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d", e.Pending())
-	}
-	e.Cancel(a)
-	if e.Pending() != 1 {
-		t.Fatalf("Pending after cancel = %d", e.Pending())
 	}
 }

@@ -96,16 +96,3 @@ func TestExtraMetricsGauges(t *testing.T) {
 		t.Fatalf("gauges survive removal: %+v", g)
 	}
 }
-
-// TestMaxInflightGetter: the admission bound round-trips through the
-// runtime setter.
-func TestMaxInflightGetter(t *testing.T) {
-	s := startTestServer(t, http.NewServeMux())
-	if got := s.MaxInflight(); got != 0 {
-		t.Fatalf("default MaxInflight() = %d, want 0", got)
-	}
-	s.SetMaxInflight(7)
-	if got := s.MaxInflight(); got != 7 {
-		t.Fatalf("MaxInflight() = %d after SetMaxInflight(7)", got)
-	}
-}

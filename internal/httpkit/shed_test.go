@@ -57,8 +57,8 @@ func TestLoadSheddingBoundsInflight(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("shed lacks Retry-After")
 	}
-	if s.Sheds() != 1 {
-		t.Fatalf("Sheds() = %d, want 1", s.Sheds())
+	if n := s.resilienceSnapshot().Shed; n != 1 {
+		t.Fatalf("Shed = %d, want 1", n)
 	}
 
 	close(release)
@@ -135,7 +135,7 @@ func TestSheddingDisabledByDefault(t *testing.T) {
 			t.Fatalf("request %d got %d", i, code)
 		}
 	}
-	if s.Sheds() != 0 {
-		t.Fatalf("Sheds() = %d", s.Sheds())
+	if n := s.resilienceSnapshot().Shed; n != 0 {
+		t.Fatalf("Shed = %d", n)
 	}
 }

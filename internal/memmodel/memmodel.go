@@ -62,11 +62,9 @@ const Interleaved = -1
 
 // Region is one instance's registered memory footprint.
 type Region struct {
-	id       int
 	WSBytes  int64
 	Home     int // NUMA node holding the heap, or Interleaved
 	ccxShare map[int]float64
-	model    *Model
 }
 
 // Model tracks all regions on one machine.
@@ -101,17 +99,11 @@ func (m *Model) AddRegion(wsBytes int64, home int, affinity topology.CPUSet) (*R
 	if home != Interleaved && (home < 0 || home >= m.mach.NumNUMA()) {
 		return nil, fmt.Errorf("memmodel: home node %d outside [0,%d)", home, m.mach.NumNUMA())
 	}
-	r := &Region{id: len(m.regions), WSBytes: wsBytes, Home: home, model: m}
+	r := &Region{WSBytes: wsBytes, Home: home}
 	r.ccxShare = spanShares(m.mach, affinity)
 	m.regions = append(m.regions, r)
 	m.dirty = true
 	return r, nil
-}
-
-// SetAffinity moves the region's residency to a new CPU affinity.
-func (r *Region) SetAffinity(affinity topology.CPUSet) {
-	r.ccxShare = spanShares(r.model.mach, affinity)
-	r.model.dirty = true
 }
 
 // spanShares maps each CCX covered by the affinity to the fraction of the
@@ -224,6 +216,3 @@ func (m *Model) CPI(r *Region, cpu int, memWeight float64) float64 {
 	lat := m.LatencyFactor(r, info.NUMA)
 	return 1 + memWeight*miss*lat
 }
-
-// NumRegions returns the count of registered regions.
-func (m *Model) NumRegions() int { return len(m.regions) }

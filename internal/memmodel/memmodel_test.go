@@ -115,22 +115,6 @@ func TestCPIFactorsCompose(t *testing.T) {
 	}
 }
 
-func TestSetAffinityMovesResidency(t *testing.T) {
-	mach := topology.Small()
-	m := newModel(t, mach)
-	r, _ := m.AddRegion(8<<20, 0, mach.CPUsOfCCX(0))
-	r.SetAffinity(mach.CPUsOfCCX(1))
-	if m.Occupancy(0) != 0 {
-		t.Fatalf("occupancy on CCX0 = %v after move, want 0", m.Occupancy(0))
-	}
-	if m.Occupancy(1) != 8<<20 {
-		t.Fatalf("occupancy on CCX1 = %v, want 8 MiB", m.Occupancy(1))
-	}
-	if m.NumRegions() != 1 {
-		t.Fatal("region count wrong")
-	}
-}
-
 func TestAddRegionValidation(t *testing.T) {
 	mach := topology.Small()
 	m := newModel(t, mach)

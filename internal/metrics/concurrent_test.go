@@ -143,9 +143,6 @@ func TestTrackersSingleGoroutineContract(t *testing.T) {
 	if got := bt.Utilization(30); got <= 0 || got > 1 {
 		t.Fatalf("utilization = %v", got)
 	}
-	if bt.MaxBusy() != 2 {
-		t.Fatalf("max busy = %d", bt.MaxBusy())
-	}
 
 	var tp Throughput
 	tp.Start(0)

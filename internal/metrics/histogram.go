@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 )
 
 // subBucketBits controls histogram resolution: each power-of-two octave is
@@ -232,24 +231,4 @@ func (h *Histogram) CCDF() []CCDFPoint {
 type CCDFPoint struct {
 	Value     int64
 	FracAbove float64
-}
-
-// RenderASCII renders a simple horizontal-bar distribution for terminals.
-func (h *Histogram) RenderASCII(width int) string {
-	bs := h.Buckets()
-	if len(bs) == 0 {
-		return "(empty histogram)\n"
-	}
-	var maxCount int64
-	for _, b := range bs {
-		if b.Count > maxCount {
-			maxCount = b.Count
-		}
-	}
-	var sb strings.Builder
-	for _, b := range bs {
-		bar := int(float64(b.Count) / float64(maxCount) * float64(width))
-		fmt.Fprintf(&sb, "%10.3fms |%s %d\n", float64(b.Low)/1e6, strings.Repeat("#", bar), b.Count)
-	}
-	return sb.String()
 }

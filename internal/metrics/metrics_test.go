@@ -13,9 +13,6 @@ func TestHistogramEmpty(t *testing.T) {
 	if h.Count() != 0 || h.Mean() != 0 || h.Percentile(50) != 0 || h.Min() != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
-	if got := h.RenderASCII(40); got != "(empty histogram)\n" {
-		t.Fatalf("RenderASCII empty = %q", got)
-	}
 }
 
 func TestHistogramSingleValue(t *testing.T) {
@@ -120,9 +117,6 @@ func TestHistogramBucketsAndCCDF(t *testing.T) {
 	if math.Abs(ccdf[len(ccdf)-1].FracAbove) > 1e-9 {
 		t.Fatalf("CCDF should end at 0, got %v", ccdf[len(ccdf)-1].FracAbove)
 	}
-	if h.RenderASCII(30) == "" {
-		t.Fatal("RenderASCII empty for populated histogram")
-	}
 }
 
 func TestSnapshotString(t *testing.T) {
@@ -188,12 +182,6 @@ func TestBusyTracker(t *testing.T) {
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("utilization = %v, want %v", got, want)
 	}
-	if b.MaxBusy() != 4 {
-		t.Fatalf("MaxBusy = %d", b.MaxBusy())
-	}
-	if bs := b.BusySeconds(4e9); math.Abs(bs-10) > 1e-9 {
-		t.Fatalf("BusySeconds = %v, want 10", bs)
-	}
 }
 
 func TestBusyTrackerAdjust(t *testing.T) {
@@ -202,12 +190,13 @@ func TestBusyTrackerAdjust(t *testing.T) {
 	b.Adjust(1e9, +1)
 	b.Adjust(2e9, +1)
 	b.Adjust(3e9, -2)
-	if b.Busy() != 0 {
-		t.Fatalf("Busy = %d, want 0", b.Busy())
-	}
 	// busy-integral = 0*1 + 1*1 + 2*1 = 3 unit-seconds over capacity 2 × 3s.
 	if got := b.Utilization(3e9); math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("utilization = %v, want 0.5", got)
+	}
+	// Back at level 0: the integral stays 3 while the window grows to 5s.
+	if got := b.Utilization(5e9); math.Abs(got-0.3) > 1e-9 {
+		t.Fatalf("utilization = %v, want 0.3", got)
 	}
 }
 
@@ -247,9 +236,6 @@ func TestThroughputWindow(t *testing.T) {
 	tp.Add(500)
 	tp.Stop(6e9)
 	tp.Add(100) // after Stop: ignored
-	if tp.Count() != 500 {
-		t.Fatalf("Count = %d, want 500", tp.Count())
-	}
 	if got := tp.PerSecond(); math.Abs(got-100) > 1e-9 {
 		t.Fatalf("PerSecond = %v, want 100", got)
 	}
@@ -259,30 +245,13 @@ func TestThroughputWindow(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("Value = %d, want 5", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("Reset failed")
-	}
-}
-
 func TestTable(t *testing.T) {
 	tab := Table{Title: "T", Headers: []string{"name", "value"}}
 	tab.AddRow("bbb", "2")
-	tab.AddRow("aaa", "1")
-	tab.SortRowsByFirstColumn()
-	s := tab.String()
-	if s == "" {
-		t.Fatal("empty table render")
-	}
-	if tab.Rows[0][0] != "aaa" {
-		t.Fatal("sort failed")
+	tab.AddRow("aaa", "10")
+	want := "T\nname  value\nbbb   2    \naaa   10   \n"
+	if s := tab.String(); s != want {
+		t.Fatalf("String = %q, want %q", s, want)
 	}
 }
 

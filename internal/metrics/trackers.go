@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -23,7 +22,6 @@ type BusyTracker struct {
 	busyNS   int64 // ∑ busy·dt
 	startT   int64
 	started  bool
-	maxBusy  int
 }
 
 // NewBusyTracker returns a tracker for capacity parallel units.
@@ -44,9 +42,6 @@ func (b *BusyTracker) SetBusy(t int64, busy int) {
 		b.startT = t
 		b.lastT = t
 		b.busy = busy
-		if busy > b.maxBusy {
-			b.maxBusy = busy
-		}
 		return
 	}
 	if t < b.lastT {
@@ -55,19 +50,10 @@ func (b *BusyTracker) SetBusy(t int64, busy int) {
 	b.busyNS += int64(b.busy) * (t - b.lastT)
 	b.lastT = t
 	b.busy = busy
-	if busy > b.maxBusy {
-		b.maxBusy = busy
-	}
 }
 
 // Adjust changes the busy level by delta at time t.
 func (b *BusyTracker) Adjust(t int64, delta int) { b.SetBusy(t, b.busy+delta) }
-
-// Busy returns the current busy level.
-func (b *BusyTracker) Busy() int { return b.busy }
-
-// MaxBusy returns the high-water busy level.
-func (b *BusyTracker) MaxBusy() int { return b.maxBusy }
 
 // Utilization returns the mean busy fraction over [start, now]. now must be
 // ≥ the last reported timestamp.
@@ -77,15 +63,6 @@ func (b *BusyTracker) Utilization(now int64) float64 {
 	}
 	total := b.busyNS + int64(b.busy)*(now-b.lastT)
 	return float64(total) / float64(int64(b.capacity)*(now-b.startT))
-}
-
-// BusySeconds returns total busy resource-seconds up to now.
-func (b *BusyTracker) BusySeconds(now int64) float64 {
-	if !b.started {
-		return 0
-	}
-	total := b.busyNS + int64(b.busy)*(now-b.lastT)
-	return float64(total) / 1e9
 }
 
 // Reset restarts accounting from time t with the current busy level.
@@ -122,9 +99,6 @@ func (t *Throughput) Stop(at int64) {
 	t.open = false
 }
 
-// Count returns completions inside the window.
-func (t *Throughput) Count() int64 { return t.count }
-
 // PerSecond returns the completion rate. Zero-length windows return 0.
 func (t *Throughput) PerSecond() float64 {
 	dur := t.endT - t.startT
@@ -133,23 +107,6 @@ func (t *Throughput) PerSecond() float64 {
 	}
 	return float64(t.count) / (float64(dur) / 1e9)
 }
-
-// Counter is a simple named tally.
-type Counter struct {
-	n int64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) { c.n += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current tally.
-func (c *Counter) Value() int64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
 
 // Table renders rows of label → formatted values as an aligned text table;
 // shared by cmd/simstudy and the benchmark harness for figure output.
@@ -199,12 +156,6 @@ func (t Table) String() string {
 		appendRow(row)
 	}
 	return string(sb)
-}
-
-// SortRowsByFirstColumn orders rows lexically; useful for deterministic
-// test output when rows were accumulated from map iteration.
-func (t *Table) SortRowsByFirstColumn() {
-	sort.Slice(t.Rows, func(i, j int) bool { return t.Rows[i][0] < t.Rows[j][0] })
 }
 
 // CSV renders the table as RFC-4180-ish CSV (header row first) for

@@ -12,7 +12,6 @@
 package microarch
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/sim"
@@ -30,13 +29,10 @@ type CounterProfile struct {
 	// MemStallWeight scales backend memory stalls (cf.
 	// sim.ServiceProfile.MemWeight).
 	MemStallWeight float64
-	// ICacheMPKI / L2MPKI / L3MPKI are misses per kilo-instruction at the
+	// ICacheMPKI / L3MPKI are misses per kilo-instruction at the
 	// reference configuration.
 	ICacheMPKI float64
-	L2MPKI     float64
 	L3MPKI     float64
-	// BranchMPKI is mispredicts per kilo-instruction.
-	BranchMPKI float64
 	// InstrFootprintKB is the active code footprint.
 	InstrFootprintKB int
 }
@@ -75,9 +71,7 @@ func ServiceProfiles() map[sim.Service]CounterProfile {
 			FrontendStallFrac: sp.FrontendStall,
 			MemStallWeight:    sp.MemWeight,
 			ICacheMPKI:        8 + 60*sp.FrontendStall,
-			L2MPKI:            6 + 25*sp.MemWeight,
 			L3MPKI:            1 + 9*sp.MemWeight,
-			BranchMPKI:        4 + 10*sp.FrontendStall,
 			InstrFootprintKB:  512 + int(8192*sp.FrontendStall),
 		}
 	}
@@ -91,19 +85,19 @@ func SPECLikeProfiles() []CounterProfile {
 		{
 			Name: "spec-int-like", IPCIdeal: 2.4,
 			FrontendStallFrac: 0.06, MemStallWeight: 0.15,
-			ICacheMPKI: 1.2, L2MPKI: 4.0, L3MPKI: 0.8, BranchMPKI: 5.0,
+			ICacheMPKI: 1.2, L3MPKI: 0.8,
 			InstrFootprintKB: 96,
 		},
 		{
 			Name: "spec-fp-like", IPCIdeal: 2.8,
 			FrontendStallFrac: 0.03, MemStallWeight: 0.35,
-			ICacheMPKI: 0.4, L2MPKI: 9.0, L3MPKI: 2.5, BranchMPKI: 1.0,
+			ICacheMPKI: 0.4, L3MPKI: 2.5,
 			InstrFootprintKB: 64,
 		},
 		{
 			Name: "stream-like", IPCIdeal: 1.8,
 			FrontendStallFrac: 0.02, MemStallWeight: 0.85,
-			ICacheMPKI: 0.2, L2MPKI: 30.0, L3MPKI: 20.0, BranchMPKI: 0.5,
+			ICacheMPKI: 0.2, L3MPKI: 20.0,
 			InstrFootprintKB: 32,
 		},
 	}
@@ -159,23 +153,4 @@ func Compare(l3MissRatio, latFactor float64) []Row {
 		})
 	}
 	return rows
-}
-
-// WeightedMicroserviceIPC aggregates effective IPC across services using
-// their busy-share weights from a simulation result.
-func WeightedMicroserviceIPC(res sim.Result, l3MissRatio, latFactor float64) (float64, error) {
-	profiles := ServiceProfiles()
-	var ipc, weight float64
-	for _, st := range res.Services {
-		p, ok := profiles[st.Service]
-		if !ok {
-			return 0, fmt.Errorf("microarch: no profile for %v", st.Service)
-		}
-		ipc += st.BusyShare * p.EffectiveIPC(l3MissRatio, latFactor)
-		weight += st.BusyShare
-	}
-	if weight == 0 {
-		return 0, fmt.Errorf("microarch: result has no busy time")
-	}
-	return ipc / weight, nil
 }

@@ -5,10 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/desim"
-	"repro/internal/placement"
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 func TestServiceProfilesCoverAllServices(t *testing.T) {
@@ -81,31 +78,6 @@ func TestMicroservicesDistinctFromSPEC(t *testing.T) {
 	}
 	if minI(microIFoot) <= maxI(specIFoot) {
 		t.Fatal("microservice instruction footprints should dwarf SPEC-like")
-	}
-}
-
-func TestWeightedIPC(t *testing.T) {
-	mach := topology.Small()
-	res, err := sim.Run(sim.Config{
-		Machine:    mach,
-		Deployment: placement.OSDefault(mach),
-		Users:      30,
-		Seed:       1,
-		Warmup:     desim.Second,
-		Measure:    2 * desim.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ipc, err := WeightedMicroserviceIPC(res, 0.5, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ipc <= 0.05 || ipc >= 1.6 {
-		t.Fatalf("weighted IPC %v outside plausible band", ipc)
-	}
-	if _, err := WeightedMicroserviceIPC(sim.Result{}, 0.5, 1); err == nil {
-		t.Fatal("empty result accepted")
 	}
 }
 

@@ -122,10 +122,7 @@ func TestSimulatorMatchesMVA(t *testing.T) {
 	// Light load: no queueing anywhere, X = N/(Z+ΣD) in both models.
 	for _, users := range []int{10, 50} {
 		simRes := runSim(users)
-		mvaRes, err := Solve(network, users)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mvaRes := solve(t, network, users)[users-1]
 		rel := math.Abs(simRes.Throughput-mvaRes.Throughput) / mvaRes.Throughput
 		if rel > 0.05 {
 			t.Fatalf("N=%d: sim %.1f req/s vs MVA %.1f req/s (%.1f %% apart)",
@@ -136,14 +133,14 @@ func TestSimulatorMatchesMVA(t *testing.T) {
 	// Saturation: both models must converge on the bottleneck bound
 	// 1/max(D/m) = 4 servers / 2 ms = 2000 req/s.
 	simSat := runSim(1500)
-	bound, _ := MaxThroughput(network)
-	rel := math.Abs(simSat.Throughput-bound) / bound
+	b := bound(network)
+	rel := math.Abs(simSat.Throughput-b) / b
 	if rel > 0.07 {
 		t.Fatalf("saturation: sim %.1f req/s vs bound %.1f req/s (%.1f %% apart)",
-			simSat.Throughput, bound, rel*100)
+			simSat.Throughput, b, rel*100)
 	}
 	// And the bottleneck station must be persistence in both views.
-	mvaSat, _ := Solve(network, 1500)
+	mvaSat := solve(t, network, 1500)[1499]
 	if network.Stations[mvaSat.Bottleneck].Name != "pers" {
 		t.Fatalf("MVA bottleneck = %q", network.Stations[mvaSat.Bottleneck].Name)
 	}

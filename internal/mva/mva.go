@@ -8,8 +8,8 @@
 //     form mechanisms (SMT, cache CPI, serialization locks), MVA's
 //     predicted throughput and response time must match the discrete-event
 //     simulator closely. The cross-check lives in the package tests.
-//  2. Planning: core's capacity estimates use it to predict saturation
-//     points from per-service demands without running a simulation.
+//  2. Cross-validation: the crossval harness compares its throughput
+//     curve (SolveRange) with the simulated and measured sweeps.
 //
 // The implementation is the standard exact single-class MVA recursion
 // over N customers: for each station k,
@@ -25,10 +25,7 @@
 // load and saturation).
 package mva
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Station is one service centre.
 type Station struct {
@@ -83,16 +80,6 @@ type Result struct {
 	Utilization []float64
 	// Bottleneck is the index of the highest-utilization station.
 	Bottleneck int
-}
-
-// Solve runs the exact MVA recursion for populations 1..N and returns the
-// solution at N.
-func Solve(net Network, customers int) (Result, error) {
-	all, err := SolveRange(net, customers)
-	if err != nil {
-		return Result{}, err
-	}
-	return all[len(all)-1], nil
 }
 
 // SolveRange runs the recursion once and returns the solution at every
@@ -152,42 +139,4 @@ func SolveRange(net Network, maxN int) ([]Result, error) {
 		out = append(out, res)
 	}
 	return out, nil
-}
-
-// SaturationPopulation returns the classic asymptotic knee
-// N* = (Z + Σ D_k) / max_k(D_k/m_k): the population beyond which the
-// bottleneck saturates.
-func SaturationPopulation(net Network) (float64, error) {
-	if err := net.Validate(); err != nil {
-		return 0, err
-	}
-	var sum, maxD float64
-	for _, s := range net.Stations {
-		sum += s.Demand
-		if d := s.Demand / float64(s.Servers); d > maxD {
-			maxD = d
-		}
-	}
-	if maxD == 0 {
-		return math.Inf(1), nil
-	}
-	return (net.ThinkTime + sum) / maxD, nil
-}
-
-// MaxThroughput returns the asymptotic throughput bound
-// 1 / max_k(D_k/m_k).
-func MaxThroughput(net Network) (float64, error) {
-	if err := net.Validate(); err != nil {
-		return 0, err
-	}
-	var maxD float64
-	for _, s := range net.Stations {
-		if d := s.Demand / float64(s.Servers); d > maxD {
-			maxD = d
-		}
-	}
-	if maxD == 0 {
-		return math.Inf(1), nil
-	}
-	return 1 / maxD, nil
 }

@@ -7,6 +7,25 @@ import (
 	"testing/quick"
 )
 
+// bound is the asymptotic throughput bound 1/max_k(D_k/m_k).
+func bound(net Network) float64 {
+	var maxD float64
+	for _, s := range net.Stations {
+		maxD = math.Max(maxD, s.Demand/float64(s.Servers))
+	}
+	return 1 / maxD
+}
+
+// solve returns the solutions at populations 1..n, failing t on an error.
+func solve(t *testing.T, net Network, n int) []Result {
+	t.Helper()
+	all, err := SolveRange(net, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return all
+}
+
 func TestValidate(t *testing.T) {
 	bad := []Network{
 		{},
@@ -19,7 +38,7 @@ func TestValidate(t *testing.T) {
 			t.Errorf("bad network %d accepted", i)
 		}
 	}
-	if _, err := Solve(Network{Stations: []Station{{Demand: 1, Servers: 1}}}, 0); err == nil {
+	if _, err := SolveRange(Network{Stations: []Station{{Demand: 1, Servers: 1}}}, 0); err == nil {
 		t.Error("zero population accepted")
 	}
 }
@@ -31,10 +50,8 @@ func TestSingleStationLimits(t *testing.T) {
 		ThinkTime: 1.0,
 		Stations:  []Station{{Name: "cpu", Demand: 0.1, Servers: 1}},
 	}
-	one, err := Solve(net, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := solve(t, net, 200)
+	one, big := all[0], all[199]
 	// With one customer there is no queueing: X = 1/(Z+D).
 	want := 1 / 1.1
 	if math.Abs(one.Throughput-want) > 1e-9 {
@@ -45,13 +62,8 @@ func TestSingleStationLimits(t *testing.T) {
 	}
 
 	// Far past saturation: X → 1/D.
-	big, err := Solve(net, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound, _ := MaxThroughput(net)
-	if math.Abs(big.Throughput-bound)/bound > 0.01 {
-		t.Fatalf("X(200) = %v, want ≈%v", big.Throughput, bound)
+	if b := bound(net); math.Abs(big.Throughput-b)/b > 0.01 {
+		t.Fatalf("X(200) = %v, want ≈%v", big.Throughput, b)
 	}
 	if big.Utilization[0] < 0.99 {
 		t.Fatalf("bottleneck util = %v at N=200", big.Utilization[0])
@@ -67,19 +79,12 @@ func TestBottleneckIdentification(t *testing.T) {
 			{Name: "wide", Demand: 0.08, Servers: 4}, // 0.02 per server
 		},
 	}
-	res, err := Solve(net, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := solve(t, net, 100)
+	res, below := all[99], all[1]
 	if net.Stations[res.Bottleneck].Name != "slow" {
 		t.Fatalf("bottleneck = %q, want slow", net.Stations[res.Bottleneck].Name)
 	}
-	sat, _ := SaturationPopulation(net)
-	if sat <= 1 {
-		t.Fatalf("N* = %v", sat)
-	}
-	// Below N*, throughput ≈ N/(Z+ΣD); above, ≈ 1/Dmax.
-	below, _ := Solve(net, 2)
+	// Below the knee N* = (Z+ΣD)/Dmax = 12.8, throughput ≈ N/(Z+ΣD).
 	approx := 2 / (0.5 + 0.01 + 0.05 + 0.08)
 	if math.Abs(below.Throughput-approx)/approx > 0.15 {
 		t.Fatalf("light-load X = %v, want ≈%v", below.Throughput, approx)
@@ -89,15 +94,15 @@ func TestBottleneckIdentification(t *testing.T) {
 func TestMultiServerBeatsSingle(t *testing.T) {
 	single := Network{ThinkTime: 0.2, Stations: []Station{{Demand: 0.1, Servers: 1}}}
 	quad := Network{ThinkTime: 0.2, Stations: []Station{{Demand: 0.1, Servers: 4}}}
-	xs, _ := Solve(single, 50)
-	xq, _ := Solve(quad, 50)
+	xs := solve(t, single, 50)[49]
+	xq := solve(t, quad, 50)[49]
 	if xq.Throughput <= xs.Throughput {
 		t.Fatalf("4 servers (%v) should beat 1 (%v)", xq.Throughput, xs.Throughput)
 	}
-	bs, _ := MaxThroughput(single)
-	bq, _ := MaxThroughput(quad)
-	if math.Abs(bq-4*bs) > 1e-9 {
-		t.Fatalf("bounds: single %v quad %v", bs, bq)
+	// At N=50 the single server is saturated, while four servers hold
+	// more than the single server's bound.
+	if b := bound(single); xq.Throughput <= b || math.Abs(xs.Throughput-b)/b > 0.01 {
+		t.Fatalf("single %v, quad %v, single-server bound %v", xs.Throughput, xq.Throughput, b)
 	}
 }
 
@@ -109,15 +114,9 @@ func TestZeroDemandStationIgnored(t *testing.T) {
 			{Name: "idle", Demand: 0, Servers: 1},
 		},
 	}
-	res, err := Solve(net, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solve(t, net, 10)[9]
 	if res.StationQueue[1] != 0 || res.Utilization[1] != 0 {
 		t.Fatal("zero-demand station accumulated load")
-	}
-	if inf, _ := MaxThroughput(Network{Stations: []Station{{Demand: 0, Servers: 1}}}); !math.IsInf(inf, 1) {
-		t.Fatal("all-zero network bound should be +Inf")
 	}
 }
 
@@ -135,19 +134,18 @@ func TestPropertyMVABounds(t *testing.T) {
 			sum += demand
 		}
 		n := int(nRaw%50) + 1
+		all, err := SolveRange(net, n)
+		if err != nil {
+			return false
+		}
 		prev := 0.0
-		for pop := 1; pop <= n; pop++ {
-			res, err := Solve(net, pop)
-			if err != nil {
-				return false
-			}
+		for i, res := range all {
 			if res.Throughput < prev-1e-12 {
 				return false
 			}
 			prev = res.Throughput
-			bound1 := float64(pop) / (net.ThinkTime + sum)
-			bound2, _ := MaxThroughput(net)
-			if res.Throughput > bound1+1e-9 || res.Throughput > bound2+1e-9 {
+			bound1 := float64(i+1) / (net.ThinkTime + sum)
+			if res.Throughput > bound1+1e-9 || res.Throughput > bound(net)+1e-9 {
 				return false
 			}
 		}
@@ -158,9 +156,10 @@ func TestPropertyMVABounds(t *testing.T) {
 	}
 }
 
-// SolveRange at population i must agree exactly with Solve(net, i): the
-// range form is the same recursion with intermediate states read off.
-func TestSolveRangeMatchesSolve(t *testing.T) {
+// SolveRange's solution at population i must not depend on how far past i
+// the range runs: SolveRange(net, i) ends exactly where SolveRange(net,
+// maxN) reads off population i.
+func TestSolveRangePrefixStable(t *testing.T) {
 	net := Network{
 		ThinkTime: 0.010,
 		Stations: []Station{
@@ -178,10 +177,7 @@ func TestSolveRangeMatchesSolve(t *testing.T) {
 		t.Fatalf("SolveRange returned %d results, want %d", len(all), maxN)
 	}
 	for n := 1; n <= maxN; n++ {
-		one, err := Solve(net, n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		one := solve(t, net, n)[n-1]
 		got := all[n-1]
 		if got.Population != n {
 			t.Fatalf("result %d has population %d", n-1, got.Population)

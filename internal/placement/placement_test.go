@@ -75,7 +75,7 @@ func TestPackedPinsEverything(t *testing.T) {
 		if !inst.Affinity.Intersect(union).Empty() {
 			t.Fatalf("packed affinities overlap at %v", inst.Service)
 		}
-		union = union.Union(inst.Affinity)
+		inst.Affinity.ForEach(union.Add)
 		if inst.Workers <= 0 {
 			t.Fatal("bad worker count")
 		}

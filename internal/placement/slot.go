@@ -70,10 +70,6 @@ const StraddlePenalty = 0.3
 // stack holding separate policy instances with the same configuration
 // make identical choices.
 type Policy interface {
-	// Name is the policy's configuration name: "packed", "ccx", "numa".
-	Name() string
-	// Machine is the topology model slots are drawn from.
-	Machine() *topology.Machine
 	// Assign picks the slot for a new replica of service given every slot
 	// currently live (across all services — contention is machine-wide).
 	Assign(service string, existing []Slot) (Slot, error)
@@ -130,9 +126,6 @@ type packedPolicy struct {
 	slotCores int
 }
 
-func (p *packedPolicy) Name() string               { return "packed" }
-func (p *packedPolicy) Machine() *topology.Machine { return p.mach }
-
 func (p *packedPolicy) Assign(service string, existing []Slot) (Slot, error) {
 	cursor := 0
 	for _, s := range existing {
@@ -182,9 +175,6 @@ func newCellPolicy(name string, level topology.Level, mach *topology.Machine, sh
 	}
 	return p, nil
 }
-
-func (p *cellPolicy) Name() string               { return p.name }
-func (p *cellPolicy) Machine() *topology.Machine { return p.mach }
 
 // weight is a service's contention contribution: its demand share, or
 // the mean share for services the map does not know.

@@ -72,17 +72,14 @@ type UserRecord struct {
 type Service struct {
 	key         []byte
 	persistence persistenceAPI
-	tokenTTL    time.Duration
 	now         func() time.Time
 }
 
+// tokenTTL is a session token's lifetime.
+const tokenTTL = 30 * time.Minute
+
 // Option tweaks a Service.
 type Option func(*Service)
-
-// WithTokenTTL overrides the default 30-minute session lifetime.
-func WithTokenTTL(ttl time.Duration) Option {
-	return func(s *Service) { s.tokenTTL = ttl }
-}
 
 // WithClock injects a fake clock for tests.
 func WithClock(now func() time.Time) Option {
@@ -95,7 +92,7 @@ func New(key []byte, persistence persistenceAPI, opts ...Option) (*Service, erro
 	if len(key) < 16 {
 		return nil, fmt.Errorf("auth: signing key must be ≥16 bytes, have %d", len(key))
 	}
-	s := &Service{key: key, persistence: persistence, tokenTTL: 30 * time.Minute, now: time.Now}
+	s := &Service{key: key, persistence: persistence, now: time.Now}
 	for _, o := range opts {
 		o(s)
 	}
@@ -141,7 +138,7 @@ func (s *Service) Login(ctx context.Context, email, password string) (string, To
 	if HashPassword(password, user.Salt) != user.PasswordHash {
 		return "", Token{}, fmt.Errorf("auth: wrong password for %s", email)
 	}
-	tok := Token{UserID: user.ID, Email: user.Email, Expires: s.now().Add(s.tokenTTL)}
+	tok := Token{UserID: user.ID, Email: user.Email, Expires: s.now().Add(tokenTTL)}
 	payload, err := json.Marshal(tok)
 	if err != nil {
 		return "", Token{}, err

@@ -148,7 +148,7 @@ func TestValidateRejectsForeignKey(t *testing.T) {
 
 func TestTokenExpiry(t *testing.T) {
 	now := time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
-	s, _ := newFixture(t, WithTokenTTL(time.Minute), WithClock(func() time.Time { return now }))
+	s, _ := newFixture(t, WithClock(func() time.Time { return now }))
 	signed, _, err := s.Login(context.Background(), "a@x", "secret")
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,11 @@ func TestTokenExpiry(t *testing.T) {
 	if _, err := s.Validate(signed); err != nil {
 		t.Fatalf("fresh token rejected: %v", err)
 	}
-	now = now.Add(2 * time.Minute)
+	now = now.Add(tokenTTL - time.Second)
+	if _, err := s.Validate(signed); err != nil {
+		t.Fatalf("token rejected before its lifetime ended: %v", err)
+	}
+	now = now.Add(2 * time.Second)
 	if _, err := s.Validate(signed); err == nil {
 		t.Fatal("expired token accepted")
 	}

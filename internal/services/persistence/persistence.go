@@ -30,21 +30,11 @@ type Service struct {
 	store   *db.Store // this replica's own shard, = cluster.Store(shard)
 }
 
-// New returns a Persistence service over the given store — the
-// single-shard deployment.
-func New(store *db.Store) *Service {
-	return NewSharded(NewCluster([]*db.Store{store}), 0)
-}
-
 // NewSharded returns the Persistence service for one shard of a
 // cluster. Replicas of the same shard share the shard index.
 func NewSharded(cluster *Cluster, shard int) *Service {
 	return &Service{cluster: cluster, shard: shard, store: cluster.Store(shard)}
 }
-
-// Store exposes this replica's own shard store (embedded/in-process
-// callers).
-func (s *Service) Store() *db.Store { return s.store }
 
 // statusFor maps store errors onto HTTP statuses.
 func statusFor(err error) int {

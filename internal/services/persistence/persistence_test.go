@@ -19,7 +19,7 @@ func newFixture(t *testing.T) (*Client, *db.Store) {
 	}, auth.HashPassword); err != nil {
 		t.Fatal(err)
 	}
-	svc := New(store)
+	svc := NewSharded(NewCluster([]*db.Store{store}), 0)
 	srv := httptest.NewServer(svc.Mux())
 	t.Cleanup(srv.Close)
 	return NewClient(srv.URL, httpkit.NewClient(5*time.Second)), store

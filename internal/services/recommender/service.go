@@ -110,13 +110,6 @@ func (s *Service) Recommend(userID int64, current []int64, max int) ([]int64, er
 	return s.algo.Recommend(userID, current, max), nil
 }
 
-// Algorithm returns the configured algorithm name.
-func (s *Service) Algorithm() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.algo.Name()
-}
-
 // RecommendRequest is the /recommend body.
 type RecommendRequest struct {
 	UserID  int64   `json:"userId"`
@@ -177,15 +170,6 @@ func NewClient(baseURL string, hc *httpkit.Client) *Client {
 		hc = httpkit.NewClient(0)
 	}
 	return &Client{http: hc, base: baseURL}
-}
-
-// Train triggers remote retraining.
-func (c *Client) Train(ctx context.Context) (int, error) {
-	var out struct {
-		Orders int `json:"orders"`
-	}
-	err := c.http.PostJSON(ctx, c.base+"/train", nil, &out)
-	return out.Orders, err
 }
 
 // Recommend fetches recommendations.

@@ -135,7 +135,6 @@ type nav struct {
 
 // session is the per-request authentication/cart state.
 type session struct {
-	token    string
 	claims   auth.Token
 	loggedIn bool
 	cart     []auth.CartItem
@@ -146,7 +145,6 @@ func (s *Service) loadSession(r *http.Request) session {
 	var sess session
 	if c, err := r.Cookie(cookieToken); err == nil && c.Value != "" {
 		if claims, err := s.backends.Auth.Validate(r.Context(), c.Value); err == nil {
-			sess.token = c.Value
 			sess.claims = claims
 			sess.loggedIn = true
 		}

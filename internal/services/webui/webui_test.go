@@ -44,7 +44,7 @@ func newFixture(t testing.TB) *fixture {
 	}
 
 	f := &fixture{store: store}
-	persistMux := persistence.New(store).Mux()
+	persistMux := persistence.NewSharded(persistence.NewCluster([]*db.Store{store}), 0).Mux()
 	persistSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet && r.URL.Path == "/categories" {
 			f.categoryGets.Add(1)

@@ -1,27 +1,11 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/desim"
 	"repro/internal/topology"
 )
-
-func TestRunDebugRendersInstances(t *testing.T) {
-	out, err := RunDebug(smallConfig(30, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"throughput", "inst", "webui", "registry", "workers="} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("debug output missing %q:\n%.300s", want, out)
-		}
-	}
-	if _, err := RunDebug(Config{}); err == nil {
-		t.Fatal("bad config accepted")
-	}
-}
 
 func TestClientLatencyAddsToResponseTime(t *testing.T) {
 	slow := smallConfig(20, 5)
@@ -74,7 +58,7 @@ func TestRouteNearestPrefersCellMates(t *testing.T) {
 		set := mach.CPUsOfSocket(cell)
 		for _, s := range []Service{WebUI, Auth, Persistence, Recommender, Image} {
 			d.Instances = append(d.Instances, InstanceSpec{
-				Service: s, Affinity: set.TakeN(32), Workers: 64, HomeNUMA: cell,
+				Service: s, Affinity: topology.NewCPUSet(set.IDs()[:32]...), Workers: 64, HomeNUMA: cell,
 			})
 		}
 	}

@@ -113,11 +113,8 @@ type instance struct {
 	running     int // segments currently on-CPU
 	lock        serialLock
 
-	busyNS       int64
-	served       int64
-	queuePeak    int
-	lockWaitNS   int64
-	workerWaitNS int64
+	busyNS int64
+	served int64
 }
 
 // Engine runs one configured simulation.
@@ -283,16 +280,7 @@ func (e *Engine) acquire(inst *instance, fn func(release func())) {
 		e.acquireRun(inst, fn)
 		return
 	}
-	queuedAt := e.eng.Now()
-	inst.waiters = append(inst.waiters, func(release func()) {
-		if e.measuring {
-			inst.workerWaitNS += int64(e.eng.Now().Sub(queuedAt))
-		}
-		fn(release)
-	})
-	if len(inst.waiters) > inst.queuePeak {
-		inst.queuePeak = len(inst.waiters)
-	}
+	inst.waiters = append(inst.waiters, fn)
 }
 
 // acquireRun invokes fn with a fresh release closure.
@@ -369,11 +357,7 @@ func (e *Engine) exec(inst *instance, demand desim.Duration, done func()) {
 	serial := desim.Duration(float64(demand) * f)
 	parallel := demand - serial
 	e.runSegment(inst, parallel, -1, false, func(cpu int) {
-		lockAt := e.eng.Now()
 		inst.lock.acquire(cpu, func(cpu int) {
-			if e.measuring {
-				inst.lockWaitNS += int64(e.eng.Now().Sub(lockAt))
-			}
 			e.runSegment(inst, serial, cpu, true, func(cpu int) {
 				inst.lock.release(cpu)
 				done()
@@ -572,9 +556,6 @@ func (e *Engine) Run() Result {
 	for _, inst := range e.instances {
 		inst.busyNS = 0
 		inst.served = 0
-		inst.queuePeak = 0
-		inst.lockWaitNS = 0
-		inst.workerWaitNS = 0
 	}
 	e.tput.Start(int64(e.eng.Now()))
 	e.sessions.Start(int64(e.eng.Now()))

@@ -38,8 +38,6 @@ type MicrobenchResult struct {
 	Concurrency int
 	// OpsPerSec is completed handler executions per second.
 	OpsPerSec float64
-	// MeanLatencyNs is the mean per-op completion time.
-	MeanLatencyNs float64
 }
 
 // Microbench runs the isolated-service scaling measurement.
@@ -97,7 +95,6 @@ func Microbench(cfg MicrobenchConfig) (MicrobenchResult, error) {
 	rng := desim.NewRNGPool(cfg.Seed).Stream("microbench")
 
 	var completed int64
-	var busyNS int64
 	measuring := false
 	var lock serialLock
 
@@ -106,7 +103,6 @@ func Microbench(cfg MicrobenchConfig) (MicrobenchResult, error) {
 			done(onCPU)
 			return
 		}
-		var startAt desim.Time
 		seg := &simcpu.Segment{
 			Work:     work,
 			Priority: priority,
@@ -114,13 +110,7 @@ func Microbench(cfg MicrobenchConfig) (MicrobenchResult, error) {
 			CPI: func(cpu int) float64 {
 				return mem.CPI(region, cpu, prof.MemWeight)
 			},
-			OnStart: func(cpu int) { startAt = eng.Now() },
-			OnDone: func(cpu int) {
-				if measuring {
-					busyNS += int64(eng.Now().Sub(startAt))
-				}
-				done(cpu)
-			},
+			OnDone: done,
 		}
 		if onCPU >= 0 {
 			proc.SubmitOn(seg, onCPU)
@@ -167,9 +157,6 @@ func Microbench(cfg MicrobenchConfig) (MicrobenchResult, error) {
 		Cores:       cfg.Cores,
 		Concurrency: conc,
 		OpsPerSec:   float64(completed) / cfg.Measure.Seconds(),
-	}
-	if completed > 0 {
-		res.MeanLatencyNs = float64(busyNS) / float64(completed)
 	}
 	return res, nil
 }

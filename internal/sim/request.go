@@ -53,19 +53,6 @@ func (r RequestSpec) Validate() error {
 	return nil
 }
 
-// TotalMedianDemand sums the request's median CPU demand across services,
-// excluding RPC tax. Used by analytical capacity estimates.
-func (r RequestSpec) TotalMedianDemand() desim.Duration {
-	total := r.Pre + r.Post
-	for _, op := range r.Parallel {
-		total += op.Demand
-	}
-	for _, op := range r.Sequential {
-		total += op.Demand
-	}
-	return total
-}
-
 // DemandOn sums the request's median demand on one service.
 func (r RequestSpec) DemandOn(s Service) desim.Duration {
 	var total desim.Duration

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/workload"
@@ -22,14 +20,8 @@ type ServiceStats struct {
 	BusyShare float64
 	// Served counts handler executions.
 	Served int64
-	// QueuePeak is the worst worker-queue depth across replicas.
-	QueuePeak int
 	// MeanExecMs is mean on-CPU time per handler execution.
 	MeanExecMs float64
-	// MeanLockWaitMs is mean critical-section wait per execution.
-	MeanLockWaitMs float64
-	// MeanWorkerWaitMs is mean worker-pool queueing per admission.
-	MeanWorkerWaitMs float64
 }
 
 // Result is one run's measurements.
@@ -70,30 +62,20 @@ func (e *Engine) collect() Result {
 	measureSec := e.cfg.Measure.Seconds()
 	var totalBusy float64
 	agg := map[Service]*ServiceStats{}
-	waitAgg := map[Service]*[2]int64{} // lockWait, workerWait
 	for _, inst := range e.instances {
 		st, ok := agg[inst.spec.Service]
 		if !ok {
 			st = &ServiceStats{Service: inst.spec.Service}
 			agg[inst.spec.Service] = st
-			waitAgg[inst.spec.Service] = &[2]int64{}
 		}
 		st.Replicas++
 		st.BusyCores += float64(inst.busyNS) / 1e9 / measureSec
 		st.Served += inst.served
-		if inst.queuePeak > st.QueuePeak {
-			st.QueuePeak = inst.queuePeak
-		}
-		waitAgg[inst.spec.Service][0] += inst.lockWaitNS
-		waitAgg[inst.spec.Service][1] += inst.workerWaitNS
 		totalBusy += float64(inst.busyNS) / 1e9 / measureSec
 	}
-	for s, st := range agg {
+	for _, st := range agg {
 		if st.Served > 0 {
-			served := float64(st.Served)
-			st.MeanExecMs = st.BusyCores * measureSec * 1e3 / served
-			st.MeanLockWaitMs = float64(waitAgg[s][0]) / 1e6 / served
-			st.MeanWorkerWaitMs = float64(waitAgg[s][1]) / 1e6 / served
+			st.MeanExecMs = st.BusyCores * measureSec * 1e3 / float64(st.Served)
 		}
 	}
 	res.BusyCores = totalBusy
@@ -106,18 +88,6 @@ func (e *Engine) collect() Result {
 	}
 	sort.Slice(res.Services, func(i, j int) bool { return res.Services[i].Service < res.Services[j].Service })
 	return res
-}
-
-// String renders a compact run summary.
-func (r Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "throughput %.1f req/s (%.2f sessions/s), util %.1f%%, latency %v\n",
-		r.Throughput, r.SessionsPerSec, r.MachineUtil*100, r.Latency)
-	for _, s := range r.Services {
-		fmt.Fprintf(&b, "  %-12s ×%d  %6.2f cores (%4.1f%%)  served %d\n",
-			s.Service, s.Replicas, s.BusyCores, s.BusyShare*100, s.Served)
-	}
-	return b.String()
 }
 
 // ServiceStat returns the stats row for one service.
@@ -138,28 +108,4 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	return e.Run(), nil
-}
-
-// RunDebug runs cfg and renders per-instance diagnostics (served, exec,
-// lock/worker waits, queue peaks) for model calibration.
-func RunDebug(cfg Config) (string, error) {
-	e, err := NewEngine(cfg)
-	if err != nil {
-		return "", err
-	}
-	res := e.Run()
-	out := res.String()
-	for _, inst := range e.instances {
-		out += fmt.Sprintf("inst %2d %-12s aff=%v workers=%d served=%d exec=%.2fms lockw=%.2fms workw=%.2fms qpeak=%d\n",
-			inst.id, inst.spec.Service, inst.spec.Affinity, inst.spec.Workers, inst.served,
-			msPer(inst.busyNS, inst.served), msPer(inst.lockWaitNS, inst.served), msPer(inst.workerWaitNS, inst.served), inst.queuePeak)
-	}
-	return out, nil
-}
-
-func msPer(ns int64, n int64) float64 {
-	if n == 0 {
-		return 0
-	}
-	return float64(ns) / 1e6 / float64(n)
 }

@@ -40,7 +40,11 @@ func TestDefaultSpecsValid(t *testing.T) {
 		if err := spec.Validate(); err != nil {
 			t.Errorf("spec %v invalid: %v", r, err)
 		}
-		if spec.TotalMedianDemand() <= 0 {
+		var demand desim.Duration
+		for _, s := range AllServices() {
+			demand += spec.DemandOn(s)
+		}
+		if demand <= 0 {
 			t.Errorf("spec %v has no demand", r)
 		}
 	}
@@ -195,9 +199,6 @@ func TestRunSmokeAndInvariants(t *testing.T) {
 	}
 	if res.ServiceStat(Registry).BusyShare > 0.02 {
 		t.Fatal("registry share should be negligible")
-	}
-	if res.String() == "" {
-		t.Fatal("empty result string")
 	}
 }
 

@@ -98,10 +98,7 @@ type Processor struct {
 	busyCores    []int
 	coresPerSock int
 
-	busy       *metrics.BusyTracker
-	dispatched metrics.Counter
-	completed  metrics.Counter
-	queuedPeak int
+	busy *metrics.BusyTracker
 }
 
 // New returns a Processor for the machine.
@@ -119,9 +116,6 @@ func New(eng *desim.Engine, mach *topology.Machine, params Params) (*Processor, 
 		busy:         metrics.NewBusyTracker(mach.NumCPUs()),
 	}, nil
 }
-
-// Machine returns the underlying topology.
-func (p *Processor) Machine() *topology.Machine { return p.mach }
 
 // Submit dispatches the segment now if a CPU in its affinity set is idle,
 // otherwise queues it FIFO. Zero-work segments complete immediately
@@ -152,9 +146,6 @@ func (p *Processor) Submit(seg *Segment) {
 		p.waiting[pos] = seg
 	} else {
 		p.waiting = append(p.waiting, seg)
-	}
-	if len(p.waiting) > p.queuedPeak {
-		p.queuedPeak = len(p.waiting)
 	}
 }
 
@@ -243,7 +234,6 @@ func (p *Processor) start(seg *Segment, cpu int) {
 	}
 	p.running[cpu] = t
 	p.busy.Adjust(int64(now), +1)
-	p.dispatched.Inc()
 
 	if sibBusy {
 		// Both threads now contend: slow the sibling and ourselves.
@@ -294,7 +284,6 @@ func (p *Processor) finish(t *task) {
 	cpu := t.cpu
 	p.running[cpu] = nil
 	p.busy.Adjust(int64(now), -1)
-	p.completed.Inc()
 
 	sib := p.sibling(cpu)
 	if sib >= 0 && p.running[sib] != nil {
@@ -339,37 +328,12 @@ func (p *Processor) grantTo(cpu int) {
 	}
 }
 
-// Busy returns the number of busy logical CPUs.
-func (p *Processor) Busy() int { return p.busy.Busy() }
-
-// Queued returns the number of segments waiting for a CPU.
-func (p *Processor) Queued() int { return len(p.waiting) }
-
-// QueuedPeak returns the high-water mark of the wait queue.
-func (p *Processor) QueuedPeak() int { return p.queuedPeak }
-
 // Utilization returns machine-wide mean CPU utilization since the last
 // ResetStats (or the start).
 func (p *Processor) Utilization() float64 {
 	return p.busy.Utilization(int64(p.eng.Now()))
 }
 
-// BusyCPUSeconds returns accumulated busy CPU-seconds.
-func (p *Processor) BusyCPUSeconds() float64 {
-	return p.busy.BusySeconds(int64(p.eng.Now()))
-}
-
-// Dispatched returns the count of segments started.
-func (p *Processor) Dispatched() int64 { return p.dispatched.Value() }
-
-// Completed returns the count of segments finished.
-func (p *Processor) Completed() int64 { return p.completed.Value() }
-
-// ResetStats restarts utilization and counter accounting at the current
-// simulation time (for excluding warmup).
-func (p *Processor) ResetStats() {
-	p.busy.Reset(int64(p.eng.Now()))
-	p.dispatched.Reset()
-	p.completed.Reset()
-	p.queuedPeak = len(p.waiting)
-}
+// ResetStats restarts utilization accounting at the current simulation
+// time (for excluding warmup).
+func (p *Processor) ResetStats() { p.busy.Reset(int64(p.eng.Now())) }

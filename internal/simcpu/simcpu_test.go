@@ -19,6 +19,10 @@ func noBoost(t *testing.T, mach *topology.Machine) (*desim.Engine, *Processor) {
 	return eng, p
 }
 
+// settle runs the engine for one simulated second, past the end of every
+// segment these tests submit.
+func settle(eng *desim.Engine) { eng.RunUntil(desim.Time(desim.Second)) }
+
 func TestSingleSegmentRuntime(t *testing.T) {
 	eng, p := noBoost(t, topology.Small())
 	var doneAt desim.Time = -1
@@ -26,12 +30,9 @@ func TestSingleSegmentRuntime(t *testing.T) {
 		Work:   desim.Duration(10 * desim.Millisecond),
 		OnDone: func(cpu int) { doneAt = eng.Now() },
 	})
-	eng.Run()
+	settle(eng)
 	if doneAt != desim.Time(10*desim.Millisecond) {
 		t.Fatalf("solo segment finished at %v, want 10ms", doneAt)
-	}
-	if p.Completed() != 1 || p.Dispatched() != 1 {
-		t.Fatal("counters wrong")
 	}
 }
 
@@ -47,8 +48,9 @@ func TestZeroWorkCompletesImmediately(t *testing.T) {
 	if !done || !started {
 		t.Fatal("zero-work segment should complete synchronously")
 	}
-	if eng.Pending() != 0 {
-		t.Fatal("zero-work segment left events")
+	eng.RunUntil(desim.Time(desim.Millisecond))
+	if u := p.Utilization(); u != 0 {
+		t.Fatalf("zero-work segment occupied a CPU: utilization %v", u)
 	}
 }
 
@@ -64,7 +66,8 @@ func TestMissingOnDonePanics(t *testing.T) {
 
 func TestPrefersIdleCores(t *testing.T) {
 	// Small machine: 8 cores, 16 threads; siblings are (i, i+8).
-	eng, p := noBoost(t, topology.Small())
+	mach := topology.Small()
+	eng, p := noBoost(t, mach)
 	cpus := map[int]bool{}
 	for i := 0; i < 8; i++ {
 		p.Submit(&Segment{
@@ -75,10 +78,9 @@ func TestPrefersIdleCores(t *testing.T) {
 			},
 		})
 	}
-	eng.Run()
+	settle(eng)
 	// With 8 segments on 8 cores, every segment should have its own core:
 	// no two on SMT siblings.
-	mach := p.Machine()
 	cores := map[int]int{}
 	for cpu := range cpus {
 		cores[mach.CPU(cpu).Core]++
@@ -105,7 +107,7 @@ func TestSMTContentionSlowsBoth(t *testing.T) {
 			OnDone:   func(cpu int) { ends = append(ends, eng.Now()) },
 		})
 	}
-	eng.Run()
+	settle(eng)
 	if len(ends) != 2 {
 		t.Fatalf("completed %d, want 2", len(ends))
 	}
@@ -132,7 +134,7 @@ func TestSMTSpeedupAfterSiblingFinishes(t *testing.T) {
 		Work: desim.Duration(5 * desim.Millisecond), Affinity: aff,
 		OnDone: func(cpu int) { bEnd = eng.Now() },
 	})
-	eng.Run()
+	settle(eng)
 	if bEnd != desim.Time(10*desim.Millisecond) {
 		t.Fatalf("B finished at %v, want 10ms", bEnd)
 	}
@@ -149,7 +151,7 @@ func TestCPIMultiplierSlowsSegment(t *testing.T) {
 		CPI:    func(cpu int) float64 { return 2.0 },
 		OnDone: func(cpu int) { doneAt = eng.Now() },
 	})
-	eng.Run()
+	settle(eng)
 	if doneAt != desim.Time(20*desim.Millisecond) {
 		t.Fatalf("CPI=2 segment finished at %v, want 20ms", doneAt)
 	}
@@ -163,36 +165,37 @@ func TestCPIBelowOneClamps(t *testing.T) {
 		CPI:    func(cpu int) float64 { return 0.1 },
 		OnDone: func(cpu int) { doneAt = eng.Now() },
 	})
-	eng.Run()
+	settle(eng)
 	if doneAt != desim.Time(10*desim.Millisecond) {
 		t.Fatalf("CPI<1 should clamp to 1; finished at %v", doneAt)
 	}
 }
 
 func TestQueueingFIFOWithinAffinity(t *testing.T) {
-	// One CPU of affinity; three segments; they must run serially FIFO.
+	// One CPU of affinity; three segments; they must run serially FIFO:
+	// the second and third wait, and finish at 2 ms and 3 ms.
 	mach := topology.Small()
 	eng, p := noBoost(t, mach)
 	aff := topology.NewCPUSet(0)
 	var order []int
+	var ends []desim.Time
 	for i := 0; i < 3; i++ {
 		i := i
 		p.Submit(&Segment{
 			Work: desim.Duration(desim.Millisecond), Affinity: aff,
-			OnDone: func(cpu int) { order = append(order, i) },
+			OnDone: func(cpu int) { order = append(order, i); ends = append(ends, eng.Now()) },
 		})
 	}
-	if p.Queued() != 2 {
-		t.Fatalf("Queued = %d, want 2", p.Queued())
-	}
-	eng.Run()
+	settle(eng)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("completion order %v not FIFO", order)
 		}
 	}
-	if p.QueuedPeak() != 2 {
-		t.Fatalf("QueuedPeak = %d, want 2", p.QueuedPeak())
+	for i, end := range ends {
+		if want := desim.Time(i+1) * desim.Time(desim.Millisecond); end != want {
+			t.Fatalf("segment %d finished at %v, want %v (queued behind the others)", i, end, want)
+		}
 	}
 }
 
@@ -206,7 +209,7 @@ func TestDisjointAffinityNoCrossTalk(t *testing.T) {
 	// Occupy A's CPU, then submit to B: B must not steal CPU 0's queue slot.
 	p.Submit(&Segment{Work: 1e6, Affinity: setA, OnDone: func(cpu int) {}})
 	p.Submit(&Segment{Work: 1e6, Affinity: setB, OnDone: func(cpu int) { bCPU = cpu }})
-	eng.Run()
+	settle(eng)
 	if aCPU != 0 || bCPU != 1 {
 		t.Fatalf("affinity violated: aCPU=%d bCPU=%d", aCPU, bCPU)
 	}
@@ -226,7 +229,7 @@ func TestBoostSpeedsLightLoad(t *testing.T) {
 		Work:   desim.Duration(10 * desim.Millisecond),
 		OnDone: func(cpu int) { doneAt = eng.Now() },
 	})
-	eng.Run()
+	settle(eng)
 	// 1 of 8 cores busy: ghz = 3.4 - (3.4-2.25)*(1/8) = 3.25625;
 	// ratio = 3.25625/2.25 ≈ 1.447 → 10ms / 1.447 ≈ 6.91ms.
 	want := 10.0 / (3.25625 / 2.25)
@@ -249,21 +252,15 @@ func TestUtilizationAccounting(t *testing.T) {
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("utilization = %v, want %v", got, want)
 	}
-	if bs := p.BusyCPUSeconds(); math.Abs(bs-0.01) > 1e-9 {
-		t.Fatalf("BusyCPUSeconds = %v, want 0.01", bs)
-	}
 }
 
 func TestResetStats(t *testing.T) {
 	mach := topology.Small()
 	eng, p := noBoost(t, mach)
 	p.Submit(&Segment{Work: desim.Duration(desim.Millisecond), OnDone: func(int) {}})
-	eng.Run()
+	settle(eng)
 	p.ResetStats()
-	if p.Completed() != 0 || p.Dispatched() != 0 {
-		t.Fatal("counters survived reset")
-	}
-	eng.RunFor(desim.Duration(desim.Millisecond))
+	eng.RunUntil(eng.Now().Add(desim.Millisecond))
 	if p.Utilization() != 0 {
 		t.Fatalf("post-reset utilization = %v, want 0", p.Utilization())
 	}

@@ -142,16 +142,3 @@ func (f *Fabric) CPUCosts(level topology.Level, payloadBytes int) (send, recv de
 	}
 	return send, recv
 }
-
-// AvgLevel classifies the typical relation between fromCPU and the set:
-// the relation to the set member at the mean latency. Used to pick CPU
-// costs when the exact peer CPU is unknown.
-func (f *Fabric) AvgLevel(fromCPU int, toSet topology.CPUSet) topology.Level {
-	avg := f.AvgLatency(fromCPU, toSet)
-	for lvl := topology.LevelThread; lvl <= topology.LevelMachine; lvl++ {
-		if f.params.Latency[lvl] >= avg {
-			return lvl
-		}
-	}
-	return topology.LevelMachine
-}

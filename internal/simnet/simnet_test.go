@@ -69,17 +69,6 @@ func TestCPUCosts(t *testing.T) {
 	}
 }
 
-func TestAvgLevelClassification(t *testing.T) {
-	mach := topology.Rome2S()
-	f := newFabric(t, mach)
-	if lvl := f.AvgLevel(0, mach.CPUsOfCCX(0)); lvl > topology.LevelCCX {
-		t.Fatalf("same-CCX set classified as %v", lvl)
-	}
-	if lvl := f.AvgLevel(0, mach.CPUsOfSocket(1)); lvl != topology.LevelMachine {
-		t.Fatalf("cross-socket set classified as %v", lvl)
-	}
-}
-
 func TestParamsValidation(t *testing.T) {
 	p := DefaultParams()
 	p.Latency[topology.LevelCCD] = desim.Duration(desim.Microsecond) // below CCX: non-monotone

@@ -80,10 +80,10 @@ func TestReplicatedStackBootsAndRegisters(t *testing.T) {
 	}
 }
 
-// TestStopReplicaDeregistersImmediately: a stopped replica disappears
+// TestDrainReplicaDeregistersImmediately: a drained replica disappears
 // from registry lookups at stop time, not when its lease expires — the
 // regression test for Stack deregistration on shutdown.
-func TestStopReplicaDeregistersImmediately(t *testing.T) {
+func TestDrainReplicaDeregistersImmediately(t *testing.T) {
 	st := startReplicatedStack(t, map[string]int{"image": 2}, ResilienceConfig{})
 
 	before := st.Registry().Lookup("image")
@@ -96,12 +96,12 @@ func TestStopReplicaDeregistersImmediately(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if err := st.StopReplica(ctx, "image", 0); err != nil {
+	if err := st.DrainReplica(ctx, "image", st.ReplicaURLs("image")[0]); err != nil {
 		t.Fatal(err)
 	}
 	after := st.Registry().Lookup("image")
 	if len(after) != 1 {
-		t.Fatalf("lookup after StopReplica = %v, want exactly the survivor", after)
+		t.Fatalf("lookup after DrainReplica = %v, want exactly the survivor", after)
 	}
 	if after[0] == stopped.Addr() {
 		t.Fatalf("lookup still advertises the stopped replica %s", stopped.Addr())
@@ -254,7 +254,7 @@ func TestKillReplicaMidRunFailsNoIdempotentRequest(t *testing.T) {
 	kill := time.AfterFunc(400*time.Millisecond, func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		_ = st.StopReplica(ctx, "image", 0)
+		_ = st.DrainReplica(ctx, "image", st.ReplicaURLs("image")[0])
 	})
 	defer kill.Stop()
 

@@ -117,7 +117,7 @@ func TestScaleDownRefusesLastReplica(t *testing.T) {
 // TestDrainScaleDownZeroFailuresWithoutRetries is the drain regression
 // test, sharpened by disabling retries: with requests permanently in
 // flight (chaos latency), removing a replica mid-run must not fail a
-// single call. Before the drain existed, StopReplica closed the listener
+// single call. Before the drain existed, a planned stop closed the listener
 // while the caller's balancer cache was still warm, so every stale pick
 // died on a refused connection — visible here precisely because no retry
 // papers over it.

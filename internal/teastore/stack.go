@@ -877,23 +877,6 @@ func (s *Stack) StopService(ctx context.Context, service string) error {
 	return firstErr
 }
 
-// StopReplica gracefully removes one replica of a service while its
-// siblings keep serving: deregister, push the removal into the routing
-// caches, drain in-flight work (bounded by ctx), then close. Use
-// SetReplicaChaos or StopService to simulate failures — this is the
-// planned path, and planned removals should not fail requests. The
-// historical bug here was closing the listener immediately after
-// deregistering: requests already admitted (or picked from a still-warm
-// balancer cache) died mid-flight, so every planned scale-down showed a
-// spike of spurious failures.
-func (s *Stack) StopReplica(ctx context.Context, service string, index int) error {
-	srv, err := s.replica(service, index)
-	if err != nil {
-		return err
-	}
-	return s.drainAndStop(ctx, srv)
-}
-
 // deregister removes one server's registration so lookups stop routing to
 // it now rather than after its lease expires (up to RegistryTTL later).
 func (s *Stack) deregister(srv *httpkit.Server) {

@@ -34,17 +34,6 @@ func (s *CPUSet) Add(id int) {
 	s.words[w] |= 1 << (id % 64)
 }
 
-// Remove deletes id from the set, if present.
-func (s *CPUSet) Remove(id int) {
-	if id < 0 {
-		return
-	}
-	w := id / 64
-	if w < len(s.words) {
-		s.words[w] &^= 1 << (id % 64)
-	}
-}
-
 // Contains reports whether id is in the set.
 func (s CPUSet) Contains(id int) bool {
 	if id < 0 {
@@ -84,20 +73,6 @@ func (s CPUSet) ForEach(fn func(id int)) {
 	}
 }
 
-// Union returns s ∪ t.
-func (s CPUSet) Union(t CPUSet) CPUSet {
-	a, b := s.words, t.words
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	out := make([]uint64, len(a))
-	copy(out, a)
-	for i, w := range b {
-		out[i] |= w
-	}
-	return CPUSet{words: out}
-}
-
 // Intersect returns s ∩ t.
 func (s CPUSet) Intersect(t CPUSet) CPUSet {
 	n := len(s.words)
@@ -107,16 +82,6 @@ func (s CPUSet) Intersect(t CPUSet) CPUSet {
 	out := make([]uint64, n)
 	for i := 0; i < n; i++ {
 		out[i] = s.words[i] & t.words[i]
-	}
-	return CPUSet{words: out}
-}
-
-// Difference returns s \ t.
-func (s CPUSet) Difference(t CPUSet) CPUSet {
-	out := make([]uint64, len(s.words))
-	copy(out, s.words)
-	for i := 0; i < len(out) && i < len(t.words); i++ {
-		out[i] &^= t.words[i]
 	}
 	return CPUSet{words: out}
 }
@@ -139,28 +104,11 @@ func (s CPUSet) Equal(t CPUSet) bool {
 	return true
 }
 
-// SubsetOf reports whether every member of s is in t.
-func (s CPUSet) SubsetOf(t CPUSet) bool {
-	return s.Difference(t).Empty()
-}
-
 // Clone returns an independent copy.
 func (s CPUSet) Clone() CPUSet {
 	out := make([]uint64, len(s.words))
 	copy(out, s.words)
 	return CPUSet{words: out}
-}
-
-// TakeN returns a set of the first n members (ascending id). If the set has
-// fewer than n members the whole set is returned.
-func (s CPUSet) TakeN(n int) CPUSet {
-	var out CPUSet
-	s.ForEach(func(id int) {
-		if out.Count() < n {
-			out.Add(id)
-		}
-	})
-	return out
 }
 
 // String renders Linux cpuset list format, e.g. "0-3,8,12-15".

@@ -16,14 +16,8 @@ func TestCPUSetBasics(t *testing.T) {
 	if s.Count() != 2 {
 		t.Fatalf("Count = %d, want 2", s.Count())
 	}
-	if !s.Contains(3) || !s.Contains(100) || s.Contains(4) || s.Contains(-1) {
+	if !s.Contains(3) || !s.Contains(100) || s.Contains(4) || s.Contains(-1) || s.Contains(999) {
 		t.Fatal("Contains wrong")
-	}
-	s.Remove(3)
-	s.Remove(999) // absent: no-op
-	s.Remove(-1)  // negative: no-op
-	if s.Contains(3) || s.Count() != 1 {
-		t.Fatal("Remove wrong")
 	}
 }
 
@@ -40,37 +34,19 @@ func TestCPUSetNegativeAddPanics(t *testing.T) {
 func TestCPUSetAlgebra(t *testing.T) {
 	a := NewCPUSet(0, 1, 2, 64)
 	b := NewCPUSet(2, 3, 64, 128)
-	if got := a.Union(b).IDs(); len(got) != 6 {
-		t.Fatalf("Union = %v", got)
-	}
 	if got := a.Intersect(b); !got.Equal(NewCPUSet(2, 64)) {
 		t.Fatalf("Intersect = %v", got)
 	}
-	if got := a.Difference(b); !got.Equal(NewCPUSet(0, 1)) {
-		t.Fatalf("Difference = %v", got)
-	}
-	if !NewCPUSet(0, 1).SubsetOf(a) || a.SubsetOf(b) {
-		t.Fatal("SubsetOf wrong")
+	if got := a.Intersect(NewCPUSet(3, 200)); !got.Empty() {
+		t.Fatalf("disjoint Intersect = %v", got)
 	}
 }
 
 func TestCPUSetEqualDifferentWordLengths(t *testing.T) {
 	a := NewCPUSet(1)
-	b := NewCPUSet(1, 200)
-	b.Remove(200) // leaves trailing zero words
+	b := NewCPUSet(1, 200).Intersect(NewCPUSet(1, 255)) // trailing zero words
 	if !a.Equal(b) || !b.Equal(a) {
 		t.Fatal("Equal should ignore trailing zero words")
-	}
-}
-
-func TestCPUSetTakeN(t *testing.T) {
-	s := NewCPUSet(5, 1, 9, 3)
-	got := s.TakeN(2)
-	if !got.Equal(NewCPUSet(1, 3)) {
-		t.Fatalf("TakeN(2) = %v, want {1,3}", got)
-	}
-	if !s.TakeN(10).Equal(s) {
-		t.Fatal("TakeN beyond size should return whole set")
 	}
 }
 
@@ -129,8 +105,8 @@ func TestPropertyCPUSetRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: algebra laws — |A∪B| + |A∩B| == |A| + |B|; A\B ⊆ A;
-// (A\B) ∩ B = ∅.
+// Property: algebra laws — A∩B = B∩A, and an id is in A∩B exactly when
+// it is in both A and B.
 func TestPropertyCPUSetAlgebraLaws(t *testing.T) {
 	mk := func(raw []uint16) CPUSet {
 		var s CPUSet
@@ -141,14 +117,16 @@ func TestPropertyCPUSetAlgebraLaws(t *testing.T) {
 	}
 	f := func(ra, rb []uint16) bool {
 		a, b := mk(ra), mk(rb)
-		if a.Union(b).Count()+a.Intersect(b).Count() != a.Count()+b.Count() {
+		ab := a.Intersect(b)
+		if !ab.Equal(b.Intersect(a)) {
 			return false
 		}
-		d := a.Difference(b)
-		if !d.SubsetOf(a) {
-			return false
+		for id := 0; id < 512; id++ {
+			if ab.Contains(id) != (a.Contains(id) && b.Contains(id)) {
+				return false
+			}
 		}
-		return d.Intersect(b).Empty()
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

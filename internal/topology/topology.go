@@ -42,7 +42,6 @@ func (l Level) String() string {
 // CPU describes one logical CPU (hardware thread).
 type CPU struct {
 	ID     int // global logical CPU id, dense from 0
-	Thread int // SMT thread index within the core (0 or 1)
 	Core   int // global core id
 	CCX    int // global CCX id
 	CCD    int // global CCD id
@@ -136,7 +135,7 @@ func New(cfg Config) (*Machine, error) {
 					for t := 0; t < cfg.ThreadsPerCore; t++ {
 						id := core + t*nCores
 						m.cpus[id] = CPU{
-							ID: id, Thread: t, Core: core,
+							ID: id, Core: core,
 							CCX: ccx, CCD: ccd, NUMA: numa, Socket: s,
 						}
 						m.coreCPUs[core] = append(m.coreCPUs[core], id)
@@ -233,9 +232,6 @@ func (m *Machine) ValidCPU(id int) bool { return id >= 0 && id < len(m.cpus) }
 // CoreSiblings returns the logical CPU ids sharing the given core.
 func (m *Machine) CoreSiblings(core int) []int { return m.coreCPUs[core] }
 
-// CCXCores returns the global core ids of a CCX.
-func (m *Machine) CCXCores(ccx int) []int { return m.ccxCores[ccx] }
-
 // CPUsOfCCX returns the logical CPUs of a CCX as a set.
 func (m *Machine) CPUsOfCCX(ccx int) CPUSet {
 	var s CPUSet
@@ -263,27 +259,6 @@ func (m *Machine) CPUsOfSocket(socket int) CPUSet {
 	var s CPUSet
 	for _, cpu := range m.cpus {
 		if cpu.Socket == socket {
-			s.Add(cpu.ID)
-		}
-	}
-	return s
-}
-
-// AllCPUs returns the full logical CPU set.
-func (m *Machine) AllCPUs() CPUSet {
-	var s CPUSet
-	for i := range m.cpus {
-		s.Add(i)
-	}
-	return s
-}
-
-// FirstThreads returns the set containing thread 0 of every core — the set
-// used to disable SMT in software ("1 thread per core").
-func (m *Machine) FirstThreads() CPUSet {
-	var s CPUSet
-	for _, cpu := range m.cpus {
-		if cpu.Thread == 0 {
 			s.Add(cpu.ID)
 		}
 	}
